@@ -26,7 +26,6 @@ as small as 1e-31 which the closed forms would drown in rounding noise.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -34,6 +33,8 @@ from .means import MeanKind, _lognorm_power, _lognorm_sandor_yang, eval_mean, ha
 from .numerics import (
     _atan_tanh_coeffs,
     _cosh_coeffs,
+    _elementwise,
+    _horner,
     _sinh_coeffs,
     atan_tanh,
     logcosh,
@@ -56,7 +57,6 @@ def curvature_coefficient(n: int, p):
     return (2 - p) ** (2 * n) - p ** (2 * n) + (1 - p) * 4**n + 2 * p
 
 
-@lru_cache(maxsize=None)
 def _slope_series_table(p: float):
     """x = t^2 coefficients of slope_kernel(t, p) / t^3.
 
@@ -79,48 +79,47 @@ def _slope_series_table(p: float):
     return np.array([quot[k] - atan_c[k] for k in range(1, n)])
 
 
+def _slope_kernel(t, p: float):
+    out = np.empty_like(t)
+    small = t < _SLOPE_SERIES_RADIUS
+    if np.any(small):
+        ts = t[small]
+        out[small] = _horner(_slope_series_table(p), ts * ts) * ts**3
+    big = ~small
+    if np.any(big):
+        tb = t[big]
+        with np.errstate(over="ignore"):
+            core = np.exp(logsinh(tb) + logcosh((p - 1.0) * tb) - logcosh(p * tb))
+        out[big] = core - atan_tanh(tb)
+    return out
+
+
+@_elementwise("nonnegative")
 def slope_kernel(t, p: float):
     """f(t) = -arctan(tanh t) + sinh(t) cosh(t) - tanh(pt) sinh^2(t).
 
     Continuous extension 0 at t = 0; behaves like (4/3 - p) t^3 near zero and
     tends to 1/2 - pi/4 as t -> infinity when p > 1.
     """
-    p = float(p)
-    arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(arr < 0):
-        raise ValueError("t must be nonnegative")
-    out = np.empty_like(arr)
-    small = arr < _SLOPE_SERIES_RADIUS
-    if np.any(small):
-        ts = arr[small]
-        acc = np.zeros_like(ts)
-        for c in _slope_series_table(p)[::-1]:
-            acc = acc * ts * ts + c
-        out[small] = acc * ts**3
-    big = ~small
-    if np.any(big):
-        tb = arr[big]
-        with np.errstate(over="ignore"):
-            core = np.exp(logsinh(tb) + logcosh((p - 1.0) * tb) - logcosh(p * tb))
-        out[big] = core - atan_tanh(tb)
-    return float(out[0]) if np.ndim(t) == 0 else out
+    return _slope_kernel(t, float(p))
 
 
+@_elementwise("nonnegative")
 def curvature_kernel(t, p: float):
-    """cosh((p-2)t) - cosh(pt) + (1-p)cosh(2t) + 2p cosh(t) - p - 1."""
+    """cosh((p-2)t) - cosh(pt) + (1-p)cosh(2t) + 2p cosh(t) - p - 1, for t >= 0."""
     p = float(p)
-    arr = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.empty_like(arr)
-    small = np.abs(arr) < _CURV_SERIES_RADIUS
+    out = np.empty_like(t)
+    small = t < _CURV_SERIES_RADIUS
     if np.any(small):
-        x = arr[small] ** 2
-        acc = np.zeros_like(x)
-        for n in range(_CURV_SERIES_TERMS, 0, -1):
-            acc = (acc + curvature_coefficient(n, p) / math.factorial(2 * n)) * x
-        out[small] = acc
+        x = t[small] ** 2
+        coeffs = [
+            curvature_coefficient(n, p) / math.factorial(2 * n)
+            for n in range(1, _CURV_SERIES_TERMS + 1)
+        ]
+        out[small] = _horner(coeffs, x) * x
     big = ~small
     if np.any(big):
-        tb = arr[big]
+        tb = t[big]
         out[big] = (
             np.cosh((p - 2.0) * tb)
             - np.cosh(p * tb)
@@ -129,9 +128,10 @@ def curvature_kernel(t, p: float):
             - p
             - 1.0
         )
-    return float(out[0]) if np.ndim(t) == 0 else out
+    return out
 
 
+@_elementwise("nonnegative")
 def log_gap(t, p: float):
     """log B - log M_p on the normalized pair (e^-t, e^t).
 
@@ -141,21 +141,14 @@ def log_gap(t, p: float):
     p = float(p)
     if p == 0.0:
         raise ValueError("log_gap requires a nonzero exponent")
-    arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(arr < 0):
-        raise ValueError("half-log-ratio must be nonnegative")
-    out = _lognorm_sandor_yang(arr) - _lognorm_power(p, arr)
-    return float(out[0]) if np.ndim(t) == 0 else out
+    return _lognorm_sandor_yang(t) - _lognorm_power(p, t)
 
 
+@_elementwise("positive")
 def log_gap_slope(t, p: float):
     """d/dt of log_gap = slope_kernel(t, p) / sinh^2(t), for t > 0."""
-    arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(arr <= 0):
-        raise ValueError("t must be positive")
     with np.errstate(over="ignore"):
-        out = slope_kernel(arr, p) / np.sinh(arr) ** 2
-    return float(out[0]) if np.ndim(t) == 0 else out
+        return _slope_kernel(t, float(p)) / np.sinh(t) ** 2
 
 
 def log_gap_residual(a: float, b: float, p: float) -> float:

@@ -36,6 +36,7 @@ import numpy as np
 
 from .numerics import (
     LOG2,
+    _elementwise,
     atan_sinh_ratio_m1,
     atan_tanh_ratio_m1,
     ellipe_agm,
@@ -70,6 +71,8 @@ _TOADER_ASYMPTOTIC_T = 19.0
 # Below this |p| the power mean switches to its second-order expansion in p;
 # both branches agree to better than 1e-12 at the boundary.
 _POWER_SMALL_P = 1e-8
+
+_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -123,31 +126,26 @@ def parse_mean(text: str) -> MeanKind:
     return MeanKind(name, value)
 
 
+def _half_log_ratio(a, b):
+    lo = np.minimum(a, b)
+    hi = np.maximum(a, b)
+    return 0.5 * np.log1p((hi - lo) / lo)
+
+
+@_elementwise("positive", arrays=2)
 def half_log_ratio(a, b):
     """t = log sqrt(max/min); zero iff a = b.
 
     Computed through log1p of the relative gap, which stays fully accurate
     when a and b agree to many digits (log(b) - log(a) would not).
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if not (np.all(a > 0) and np.all(b > 0)):
-        raise ValueError("mean arguments must be positive")
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
-    t = 0.5 * np.log1p((hi - lo) / lo)
-    return float(t) if t.ndim == 0 else t
+    return _half_log_ratio(a, b)
 
 
 # --- normalized log-mean evaluators ----------------------------------------
 #
-# Each helper takes an ndarray t >= 0 and returns log m(t) elementwise.
-# Entries with t == 0 are routed around the 0/0 forms explicitly.
-
-
-def _guarded(t):
-    pos = t > 0
-    return pos, np.where(pos, t, 1.0)
+# Each evaluator takes an ndarray t > 0 and returns log m(t) elementwise.
+# t == 0, where several forms are 0/0, is handled once, in _log_mean.
 
 
 def _lognorm_power(p: float, t):
@@ -164,45 +162,10 @@ def _lognorm_lehmer(p: float, t):
     return logcosh((p + 1.0) * t) - logcosh(p * t)
 
 
-def _lognorm_log(t):
-    pos, ts = _guarded(t)
-    return np.where(pos, logsinh(ts) - np.log(ts), 0.0)
-
-
-def _lognorm_identric(t):
-    pos, ts = _guarded(t)
-    return np.where(pos, ts / np.tanh(ts) - 1.0, 0.0)
-
-
 # sinh overflows past ~710; its arctan is already pi/2 to machine precision
 # long before the clip point, so clipping is exact here.
 def _sinh_clipped(t):
     return np.sinh(np.minimum(t, 300.0))
-
-
-def _lognorm_first_seiffert(t):
-    pos, ts = _guarded(t)
-    return np.where(pos, logsinh(ts) - np.log(np.arctan(_sinh_clipped(ts))), 0.0)
-
-
-def _lognorm_second_seiffert(t):
-    pos, ts = _guarded(t)
-    return np.where(pos, logsinh(ts) - np.log(np.arctan(np.tanh(ts))), 0.0)
-
-
-def _lognorm_neuman_sandor(t):
-    pos, ts = _guarded(t)
-    return np.where(pos, logsinh(ts) - np.log(np.arcsinh(np.tanh(ts))), 0.0)
-
-
-def _lognorm_yang(t):
-    pos, ts = _guarded(t)
-    arg = np.arctan(math.sqrt(2.0) * _sinh_clipped(ts))
-    return np.where(pos, logsinh(ts) + 0.5 * LOG2 - np.log(arg), 0.0)
-
-
-def _lognorm_sandor(t):
-    return logcosh(t) + atan_sinh_ratio_m1(t)
 
 
 def _lognorm_sandor_yang(t):
@@ -227,7 +190,6 @@ def _lognorm_toader(t):
         out[mid] = tm + np.log((2.0 / math.pi) * ellipe_agm(1.0 - np.exp(-4.0 * tm)))
     far = t >= _TOADER_ASYMPTOTIC_T
     out[far] = t[far] + math.log(2.0 / math.pi)
-    out[t == 0.0] = 0.0
     return out
 
 
@@ -236,30 +198,36 @@ _PLAIN_LOGNORM = {
     "geometric": lambda t: _lognorm_power(0.0, t),
     "arithmetic": lambda t: _lognorm_power(1.0, t),
     "quadratic": lambda t: _lognorm_power(2.0, t),
-    "log": _lognorm_log,
-    "identric": _lognorm_identric,
-    "first-seiffert": _lognorm_first_seiffert,
-    "second-seiffert": _lognorm_second_seiffert,
-    "neuman-sandor": _lognorm_neuman_sandor,
-    "yang": _lognorm_yang,
-    "sandor": _lognorm_sandor,
+    "log": lambda t: logsinh(t) - np.log(t),
+    "identric": lambda t: t / np.tanh(t) - 1.0,
+    "first-seiffert": lambda t: logsinh(t) - np.log(np.arctan(_sinh_clipped(t))),
+    "second-seiffert": lambda t: logsinh(t) - np.log(np.arctan(np.tanh(t))),
+    "neuman-sandor": lambda t: logsinh(t) - np.log(np.arcsinh(np.tanh(t))),
+    "yang": lambda t: logsinh(t) + 0.5 * LOG2 - np.log(np.arctan(_SQRT2 * _sinh_clipped(t))),
+    "sandor": lambda t: logcosh(t) + atan_sinh_ratio_m1(t),
     "toader": _lognorm_toader,
     "sandor-yang": _lognorm_sandor_yang,
 }
 
 
+def _log_mean(kind: MeanKind, t):
+    """log m(t) on an array t >= 0; entries t == 0 give log m(0) = 0 exactly."""
+    if not t.all():
+        zero = t == 0.0
+        out = _log_mean(kind, np.where(zero, 1.0, t))
+        out[zero] = 0.0
+        return out
+    if kind.tag == "power":
+        return _lognorm_power(kind.param, t)
+    if kind.tag == "lehmer":
+        return _lognorm_lehmer(kind.param, t)
+    return _PLAIN_LOGNORM[kind.tag](t)
+
+
+@_elementwise("nonnegative", lead=1)
 def log_mean_normalized(kind: MeanKind, t):
     """log of the mean evaluated on the pair (e^-t, e^t), elementwise."""
-    arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(arr < 0):
-        raise ValueError("half log ratio must be nonnegative")
-    if kind.tag == "power":
-        out = _lognorm_power(kind.param, arr)
-    elif kind.tag == "lehmer":
-        out = _lognorm_lehmer(kind.param, arr)
-    else:
-        out = _PLAIN_LOGNORM[kind.tag](arr)
-    return float(out[0]) if np.ndim(t) == 0 else out
+    return _log_mean(kind, t)
 
 
 def eval_mean_normalized(kind: MeanKind, t):
@@ -267,6 +235,7 @@ def eval_mean_normalized(kind: MeanKind, t):
     return np.exp(log_mean_normalized(kind, t))
 
 
+@_elementwise("positive", arrays=2, lead=1)
 def eval_mean(kind: MeanKind, a, b):
     """Evaluate a mean on positive a, b.
 
@@ -274,18 +243,10 @@ def eval_mean(kind: MeanKind, a, b):
     otherwise the value is sqrt(ab) * exp(log m(t)), which is overflow-safe at
     any argument ratio.  Power(+/-inf) returns max/min exactly.
     """
-    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if not (np.all(a > 0) and np.all(b > 0)):
-        raise ValueError("mean arguments must be positive")
     if kind.tag == "power" and math.isinf(kind.param):
-        out = np.maximum(a, b) if kind.param > 0 else np.minimum(a, b)
-        return float(out) if scalar else out
-    t = np.atleast_1d(half_log_ratio(a, b))
+        return np.maximum(a, b) if kind.param > 0 else np.minimum(a, b)
     scale = np.sqrt(a) * np.sqrt(b)
-    out = np.where(a == b, a, scale * np.exp(log_mean_normalized(kind, t)))
-    return float(out[0]) if scalar else out
+    return np.where(a == b, a, scale * np.exp(_log_mean(kind, _half_log_ratio(a, b))))
 
 
 def toader_mean(a, b):

@@ -4,14 +4,17 @@ Everything here is overflow-safe binary64: log-of-hyperbolic helpers with
 large-argument branches, exact-rational Maclaurin tables for the ratio
 expansions that would otherwise cancel catastrophically near zero, cached
 Gauss-Legendre nodes, and an AGM evaluation of the complete elliptic
-integral of the second kind.
+integral of the second kind.  It also holds the three helpers the package
+shares: the scalar/array boundary of its public functions, Horner's rule
+and bisection.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -23,14 +26,71 @@ _SERIES_TERMS = 14
 _SERIES_RADIUS = 0.1
 
 
-def _dispatch(x, out):
-    """Return a float for scalar input, the array otherwise."""
-    return float(out[0]) if np.ndim(x) == 0 else out
+def _elementwise(domain=None, arrays=1, lead=0):
+    """The scalar/array boundary of every public elementwise function.
+
+    The decorated function receives its `arrays` array arguments, those after
+    its first `lead` ones, as float arrays of at least one dimension, checked
+    to be `domain` ("positive" or "nonnegative"; NaN is neither).  It returns
+    a float when all of them were scalars and its array otherwise.
+    """
+    check = {"positive": operator.gt, "nonnegative": operator.ge}.get(domain)
+
+    def decorate(fn):
+        names = fn.__code__.co_varnames[: lead + arrays]
+
+        @wraps(fn)
+        def boundary(*args, **kwargs):
+            if kwargs:
+                args += tuple(kwargs.pop(name) for name in names[len(args) :])
+            arrs = []
+            scalar = True
+            for x in args[lead : lead + arrays]:
+                arr = np.asarray(x, dtype=float)
+                if arr.ndim == 0:
+                    arr = arr.reshape(1)
+                else:
+                    scalar = False
+                if check and not check(arr.min(initial=math.inf), 0.0):
+                    raise ValueError(f"{' and '.join(names[lead:])} must be {domain}")
+                arrs.append(arr)
+            out = fn(*args[:lead], *arrs, *args[lead + arrays :], **kwargs)
+            return float(out[0]) if scalar else out
+
+        return boundary
+
+    return decorate
 
 
+def _horner(coeffs, x):
+    """sum_k coeffs[k] * x^k by Horner's rule, elementwise in x."""
+    acc = np.zeros_like(x)
+    for c in coeffs[::-1]:
+        acc = acc * x + c
+    return acc
+
+
+def _bisect(goes_right, lo, hi, steps, rel_width=0.0):
+    """Midpoint of [lo, hi] after bisecting towards the switch of goes_right.
+
+    goes_right(x) is True left of the switch point and False right of it.
+    Stops after `steps` halvings, or once hi - lo <= rel_width * hi.
+    """
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if goes_right(mid):
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= rel_width * hi:
+            break
+    return 0.5 * (lo + hi)
+
+
+@_elementwise()
 def logcosh(x):
     """log(cosh(x)) without overflow, accurate down to x = 0."""
-    a = np.abs(np.atleast_1d(np.asarray(x, dtype=float)))
+    a = np.abs(x)
     out = np.empty_like(a)
     small = a < 1.0
     big = a > 20.0
@@ -39,18 +99,18 @@ def logcosh(x):
     out[mid] = np.log(np.cosh(a[mid]))
     ab = a[big]
     out[big] = ab - LOG2 + np.log1p(np.exp(-2.0 * ab))
-    return _dispatch(x, out)
+    return out
 
 
+@_elementwise()
 def logsinh(x):
     """log(sinh(x)) for x > 0 without overflow."""
-    a = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty_like(a)
-    big = a > 20.0
-    out[~big] = np.log(np.sinh(a[~big]))
-    ab = a[big]
-    out[big] = ab - LOG2 + np.log1p(-np.exp(-2.0 * ab))
-    return _dispatch(x, out)
+    out = np.empty_like(x)
+    big = x > 20.0
+    out[~big] = np.log(np.sinh(x[~big]))
+    xb = x[big]
+    out[big] = xb - LOG2 + np.log1p(-np.exp(-2.0 * xb))
+    return out
 
 
 def atan_tanh(x):
@@ -132,22 +192,16 @@ def _atan_sinh_ratio_table():
     return _odd_ratio_minus_one(_atan_sinh_coeffs(n), _sinh_coeffs(n), n)
 
 
-def _horner_even(table, x):
-    acc = np.zeros_like(x)
-    for c in table[::-1]:
-        acc = acc * x + c
-    return acc * x
-
-
-def _ratio_minus_one(x, table, direct):
-    a = np.atleast_1d(np.asarray(x, dtype=float))
+def _ratio_minus_one(a, table, direct):
     out = np.empty_like(a)
     small = a < _SERIES_RADIUS
-    out[small] = _horner_even(table, a[small] ** 2)
+    x = a[small] ** 2
+    out[small] = _horner(table, x) * x
     out[~small] = direct(a[~small])
-    return _dispatch(x, out)
+    return out
 
 
+@_elementwise()
 def atan_tanh_ratio_m1(x):
     """arctan(tanh x)/tanh(x) - 1, relative-accurate for all x >= 0.
 
@@ -159,6 +213,7 @@ def atan_tanh_ratio_m1(x):
     )
 
 
+@_elementwise()
 def atan_sinh_ratio_m1(x):
     """arctan(sinh x)/sinh(x) - 1, relative-accurate for all x >= 0."""
     return _ratio_minus_one(
@@ -176,16 +231,16 @@ def gauss_legendre_quadrant(n: int):
     return (x + 1.0) * (math.pi / 4.0), w * (math.pi / 4.0)
 
 
+@_elementwise()
 def ellipe_agm(m):
     """Complete elliptic integral E(m) = int_0^{pi/2} sqrt(1 - m sin^2) dθ.
 
     Arithmetic-geometric-mean iteration; quadratic convergence gives full
     binary64 accuracy on m in [0, 1] (m = 1 returns the exact limit 1).
     """
-    marr = np.atleast_1d(np.asarray(m, dtype=float))
-    a = np.ones_like(marr)
-    b = np.sqrt(1.0 - marr)
-    c2sum = 0.5 * marr
+    a = np.ones_like(m)
+    b = np.sqrt(1.0 - m)
+    c2sum = 0.5 * m
     pow2 = 1.0
     for _ in range(26):
         c = 0.5 * (a - b)
@@ -196,5 +251,5 @@ def ellipe_agm(m):
         pow2 *= 2.0
     with np.errstate(divide="ignore", invalid="ignore"):
         out = math.pi / (2.0 * a) * (1.0 - c2sum)
-    out[marr == 1.0] = 1.0
-    return _dispatch(m, out)
+    out[m == 1.0] = 1.0
+    return out

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import _bisect, _horner
+
 _REL_WIDTH = 1e-14
 _MAX_ITER = 200
 
@@ -62,11 +64,7 @@ class CoefficientSeq:
         return cls(tuple(float(v) for v in coeffs), m)
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        acc = np.zeros_like(t)
-        for c in self.coeffs[::-1]:
-            acc = acc * t + c
-        return acc
+        return _horner(self.coeffs, np.asarray(t, dtype=float))
 
 
 def series_positive_root(seq: CoefficientSeq, radius: float) -> float:
@@ -89,13 +87,4 @@ def series_positive_root(seq: CoefficientSeq, radius: float) -> float:
                 raise ValueError("no sign change of the series within radius")
             hi = radius
             break
-    lo = hi / 2.0
-    for _ in range(_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if seq(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _REL_WIDTH * hi:
-            break
-    return 0.5 * (lo + hi)
+    return _bisect(lambda x: seq(x) > 0, hi / 2.0, hi, _MAX_ITER, _REL_WIDTH)

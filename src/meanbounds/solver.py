@@ -6,7 +6,7 @@ behave like (c2_family - c2_mean) t^2) or at t -> infinity (where they tend
 to the difference of growth offsets).  The universal quantifier over t is
 therefore implemented as a dense log grid on [1e-6, 50] plus those two
 analytic limit checks; bisection over the parameter then recovers sharp
-endpoints to well below the reported 1e-3 tolerance.
+endpoints to well below ENDPOINT_TOLERANCE (1e-3).
 
 The module also carries the closed-form endpoint catalog used as
 cross-check targets, the sharp multiplicative factors for the sandor-yang
@@ -31,7 +31,7 @@ from .means import (
     log_mean_normalized,
     quadratic_coefficient,
 )
-from .numerics import atan_tanh_ratio_m1
+from .numerics import _bisect, atan_tanh_ratio_m1
 
 # Grid used for "for all t" checks, per the solver design: 1e4 log-spaced
 # points on [1e-6, 50].  Values within TIE of equality count as holding;
@@ -41,6 +41,10 @@ GRID_POINTS = 10_000
 GRID_LO, GRID_HI = 1e-6, 50.0
 TIE = 1e-13
 _LIMIT_SLACK = 1e-9
+
+# Agreement with the closed form that the `endpoint` command accepts; grid
+# resolution, not the bisection width, sets it.
+ENDPOINT_TOLERANCE = 1e-3
 
 UPPER_EXPONENT = 4.0 / 3.0
 
@@ -65,12 +69,11 @@ class SharpConstants:
     """The solved constants of the power-mean comparison."""
 
     p0: float
-    lambda_of_p: Callable[[float], float]
     q_upper: float = UPPER_EXPONENT
 
 
 def sharp_constants() -> SharpConstants:
-    return SharpConstants(p0=sharp_lower_exponent(), lambda_of_p=sharp_factor)
+    return SharpConstants(p0=sharp_lower_exponent())
 
 
 @dataclass(frozen=True)
@@ -82,8 +85,6 @@ class EndpointReport:
     side: str
     closed_form: Optional[float]
     numeric: float
-    witness_t: Optional[float] = None
-    tolerance_used: float = 1e-3
 
 
 @dataclass(frozen=True)
@@ -138,8 +139,7 @@ def best_exponent(kind: MeanKind, family: str, side: str) -> EndpointReport:
 
     The lower side returns the supremum of admissible lower-bound parameters,
     the upper side the infimum of admissible upper-bound parameters, searched
-    on [-10, 10] with 60 bisection steps.  The reported tolerance 1e-3 is
-    dominated by grid resolution, not by the bisection width.
+    on [-10, 10] with 60 bisection steps.
     """
     predicate = _bound_predicate(kind, family, side)
     lo, hi = -10.0, 10.0
@@ -148,14 +148,8 @@ def best_exponent(kind: MeanKind, family: str, side: str) -> EndpointReport:
         raise RuntimeError("predicate never holds within search window [-10, 10]")
     if predicate(fail_at):
         raise RuntimeError("predicate always holds within search window [-10, 10]")
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        ok = predicate(mid)
-        if (ok and side == "lower") or (not ok and side == "upper"):
-            lo = mid
-        else:
-            hi = mid
-    numeric = 0.5 * (lo + hi)
+    lower = side == "lower"
+    numeric = _bisect(lambda p: predicate(p) == lower, lo, hi, 60)
     closed = _closed_form(kind, family, side)
     return EndpointReport(kind, family, side, closed, numeric)
 
@@ -248,13 +242,7 @@ def gap_peak(p: float) -> float:
         if hi > 1e7:
             raise RuntimeError("failed to bracket the kernel root")
     lo = hi / 2.0 if hi > 1.0 else 1e-3
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        if slope_kernel(mid, p) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(lambda t: slope_kernel(t, p) > 0, lo, hi, 120)
 
 
 def peak_ratio(p: float) -> float:

@@ -173,6 +173,14 @@ def test_curvature_at_zero():
         assert curvature_kernel(0.0, p) == 0.0
 
 
+def test_curvature_domain():
+    # like its siblings, the curvature kernel is defined for t >= 0 only
+    with pytest.raises(ValueError):
+        curvature_kernel(-0.5, 1.2)
+    with pytest.raises(ValueError):
+        curvature_kernel(np.array([0.5, -1e-300]), 1.2)
+
+
 # --- series coefficients ----------------------------------------------------
 
 

@@ -85,7 +85,6 @@ def test_sharp_constants_bundle():
     bundle = sharp_constants()
     assert bundle.p0 == sharp_lower_exponent()
     assert bundle.q_upper == pytest.approx(4.0 / 3.0, rel=1e-15)
-    assert bundle.lambda_of_p(2.0) == sharp_factor(2.0)
 
 
 def test_constants_table_rows():
@@ -185,8 +184,6 @@ def test_endpoint_report_fields():
     report = best_exponent(MeanKind("log"), "power", "upper")
     assert report.family == "power"
     assert report.side == "upper"
-    assert report.witness_t is None
-    assert report.tolerance_used == 1e-3
 
 
 def test_every_catalog_endpoint_is_sharp():
