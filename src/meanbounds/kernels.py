@@ -35,6 +35,7 @@ from .numerics import (
     _cosh_coeffs,
     _elementwise,
     _horner,
+    _series_quotient,
     _sinh_coeffs,
     atan_tanh,
     logcosh,
@@ -45,6 +46,8 @@ _SLOPE_SERIES_RADIUS = 0.1
 _SLOPE_SERIES_TERMS = 16
 _CURV_SERIES_RADIUS = 1e-3
 _CURV_SERIES_TERMS = 8
+# cosh(700) = 5e303: up to here the closed form's terms and sum stay finite
+_CURV_CLOSED_MAX_ARG = 700.0
 
 
 def curvature_coefficient(n: int, p):
@@ -73,20 +76,18 @@ def _slope_series_table(p: float):
     # numerator: sinh(t) * cosh((p-1)t), odd series
     num = [sum(sinh_c[i] * cosh_q[k - i] for i in range(k + 1)) for k in range(n)]
     # divide by cosh(pt), then subtract the arctan(tanh t) coefficients
-    quot = []
-    for k in range(n):
-        quot.append(num[k] - sum(cosh_p[j] * quot[k - j] for j in range(1, k + 1)))
+    quot = _series_quotient(num, cosh_p)
     return np.array([quot[k] - atan_c[k] for k in range(1, n)])
 
 
 def _slope_kernel(t, p: float):
     out = np.empty_like(t)
     small = t < _SLOPE_SERIES_RADIUS
-    if np.any(small):
+    if small.any():
         ts = t[small]
         out[small] = _horner(_slope_series_table(p), ts * ts) * ts**3
     big = ~small
-    if np.any(big):
+    if big.any():
         tb = t[big]
         with np.errstate(over="ignore"):
             core = np.exp(logsinh(tb) + logcosh((p - 1.0) * tb) - logcosh(p * tb))
@@ -108,26 +109,31 @@ def slope_kernel(t, p: float):
 def curvature_kernel(t, p: float):
     """cosh((p-2)t) - cosh(pt) + (1-p)cosh(2t) + 2p cosh(t) - p - 1, for t >= 0."""
     p = float(p)
+    terms = ((1.0, p - 2.0), (-1.0, p), (1.0 - p, 2.0), (2.0 * p, 1.0))  # w cosh(k t)
     out = np.empty_like(t)
     small = t < _CURV_SERIES_RADIUS
-    if np.any(small):
+    if small.any():
         x = t[small] ** 2
         coeffs = [
             curvature_coefficient(n, p) / math.factorial(2 * n)
             for n in range(1, _CURV_SERIES_TERMS + 1)
         ]
         out[small] = _horner(coeffs, x) * x
-    big = ~small
-    if np.any(big):
+    far = t > _CURV_CLOSED_MAX_ARG / max(abs(k) for _, k in terms)
+    if far.any():
+        # rate t > 350 here, so the kernel is sum w e^(|k| t)/2 to within
+        # e^-350; summed relative to e^(rate t), it turns +/-inf past DBL_MAX
+        tf = t[far]
+        live = [(w, abs(k)) for w, k in terms if w != 0.0]
+        rate = max(k for _, k in live)
+        scaled = sum(0.5 * w * np.exp((k - rate) * tf) for w, k in live)
+        with np.errstate(over="ignore"):
+            half = np.exp(0.5 * rate * tf)
+            out[far] = scaled * half * half
+    big = ~(small | far)
+    if big.any():
         tb = t[big]
-        out[big] = (
-            np.cosh((p - 2.0) * tb)
-            - np.cosh(p * tb)
-            + (1.0 - p) * np.cosh(2.0 * tb)
-            + 2.0 * p * np.cosh(tb)
-            - p
-            - 1.0
-        )
+        out[big] = sum(w * np.cosh(k * tb) for w, k in terms) - p - 1.0
     return out
 
 

@@ -46,7 +46,11 @@ def _sandor_yang(a, b):
 
 def _toader(a, b):
     big, small = (a, b) if a > b else (b, a)
-    return 2 / mp.pi * big * mp.ellipe(1 - (small / big) ** 2)
+    # mpmath's ellipe loses digits as m nears 1, about one per leading 9 of
+    # m = 1 - (small/big)^2, of which there are 2 log10(big/small): the
+    # precision is raised by that, with headroom
+    with mp.workdps(60 + int(2 * mp.log10(big / small))):
+        return 2 / mp.pi * big * mp.ellipe(1 - (small / big) ** 2)
 
 
 def power_mean(p, a, b):

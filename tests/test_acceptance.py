@@ -239,9 +239,8 @@ def test_criterion_12_property_sweeps():
                 violations += 1
             if eval_mean(kind, b, a) != m:
                 violations += 1
-            tol = 1e-9 if kind.tag == "toader" else 1e-12
             for lam in (1e-6, 1.0, 1e6):
-                if abs(eval_mean(kind, lam * a, lam * b) - lam * m) > tol * lam * m:
+                if abs(eval_mean(kind, lam * a, lam * b) - lam * m) > 1e-12 * lam * m:
                     violations += 1
 
     r_grid = np.arange(-4.0, 4.25, 0.25)

@@ -24,6 +24,8 @@ SAMPLES = np.array([[5e-4, 0.05, 0.3], [0.7, 3.0, 12.0]])
 
 FUNCTIONS = {
     "eval_mean": lambda x: eval_mean(MeanKind("sandor-yang"), x, 2.5),
+    # the series below t = 0.3 (x = 3) and the AGM above
+    "eval_mean_toader": lambda x: eval_mean(MeanKind("toader"), x, 2.5),
     "half_log_ratio": lambda x: half_log_ratio(x, 1.0),
     "log_mean_normalized": lambda x: log_mean_normalized(MeanKind("log"), x),
     "slope_kernel": lambda x: slope_kernel(x, 1.2),

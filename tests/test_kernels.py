@@ -173,6 +173,17 @@ def test_curvature_at_zero():
         assert curvature_kernel(0.0, p) == 0.0
 
 
+def test_curvature_past_cosh_overflow():
+    # past t = 355 cosh(2t) overflows; at p = 1 its weight is 0 and the
+    # kernel, 2 cosh t - 2, stays finite up to t = 710
+    want = float(curvature_oracle(400.0, 1.0))
+    assert curvature_kernel(400.0, 1.0) == pytest.approx(want, rel=1e-14)
+    # past DBL_MAX: signed infinities, with no RuntimeWarning
+    assert curvature_kernel(400.0, 1.2) == -math.inf
+    assert curvature_kernel(400.0, 0.5) == math.inf
+    np.testing.assert_array_equal(curvature_kernel(np.array([711.0, 2e3]), 1.0), math.inf)
+
+
 def test_curvature_domain():
     # like its siblings, the curvature kernel is defined for t >= 0 only
     with pytest.raises(ValueError):

@@ -1,7 +1,9 @@
 """Mean evaluation: frozen references, live high-precision sweeps, axioms."""
 
 import math
+import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -115,8 +117,7 @@ def test_random_pairs_match_high_precision():
         for kind in SWEEP_KINDS:
             got = eval_mean(kind, a, b)
             want = float(mean_oracle(kind.tag, kind.param, a, b))
-            tol = 2e-13 if kind.tag == "toader" else 5e-14
-            assert got == pytest.approx(want, rel=tol), (kind.label(), a, b)
+            assert got == pytest.approx(want, rel=5e-14), (kind.label(), a, b)
 
 
 def test_normalized_sandor_yang_frozen_value():
@@ -156,8 +157,7 @@ def test_positive_homogeneity():
             for kind in SWEEP_KINDS:
                 scaled = eval_mean(kind, lam * a, lam * b)
                 base = lam * eval_mean(kind, a, b)
-                tol = 1e-9 if kind.tag == "toader" else 1e-12
-                assert scaled == pytest.approx(base, rel=tol), kind.label()
+                assert scaled == pytest.approx(base, rel=1e-12), kind.label()
 
 
 def test_power_special_cases_alias_plain_means():
@@ -267,7 +267,39 @@ def test_toader_against_elliptic_reference():
         a, b = math.exp(-t), math.exp(t)
         got = toader_mean(a, b)
         want = float(mean_oracle("toader", None, a, b))
-        assert got == pytest.approx(want, rel=2e-13), t
+        assert got == pytest.approx(want, rel=5e-14), t
+
+
+def test_toader_log_profile_against_oracle():
+    # log m(t) itself, so that relative accuracy near t = 0 (where log m is
+    # 3t^2/4) and near m(t) = e^t (where the oracle needs its extra digits)
+    # both show
+    for t in np.logspace(-12, math.log10(40.0), 240):
+        got = log_mean_normalized(MeanKind("toader"), float(t))
+        want = mp.log(mean_oracle("toader", None, mp.exp(-float(t)), mp.exp(float(t))))
+        assert abs(got - want) <= 1e-13 * abs(want), t
+
+
+def test_toader_values_do_not_depend_on_the_batch():
+    x = 10.0 ** np.random.default_rng(RNG_SEED + 8).uniform(-1, 1, 1000)
+    scalars = [toader_mean(float(v), 1.5) for v in x]
+    np.testing.assert_array_equal(toader_mean(x, 1.5), scalars)
+
+
+def test_toader_memory_per_pair():
+    # a guard against per-pair temporaries like an n x nodes quadrature matrix
+    n = 2**16
+    t = 10.0 ** np.random.default_rng(RNG_SEED + 7).uniform(-10, 1.2, n)
+    a, b = np.exp(-t), np.exp(t)
+    kind = MeanKind("toader")
+    eval_mean(kind, a[:8], b[:8])  # builds the series table outside the count
+    tracemalloc.start()
+    try:
+        eval_mean(kind, a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n <= 200
 
 
 def test_toader_near_equal_arguments_collapse_to_arithmetic():
