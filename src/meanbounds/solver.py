@@ -99,7 +99,9 @@ def _grid() -> np.ndarray:
     return np.logspace(math.log10(GRID_LO), math.log10(GRID_HI), GRID_POINTS)
 
 
-@lru_cache(maxsize=None)
+# Bounded, as callers may name any number of targets; 32 holds the literature
+# catalog's means and the verifiers' targets with room to spare.
+@lru_cache(maxsize=32)
 def _mean_log_on_grid(kind: MeanKind) -> np.ndarray:
     return log_mean_normalized(kind, _grid())
 
@@ -242,6 +244,11 @@ def gap_peak(p: float) -> float:
         if hi > 1e7:
             raise RuntimeError("failed to bracket the kernel root")
     lo = hi / 2.0 if hi > 1.0 else 1e-3
+    # t0 ~ 2.3 sqrt(4/3 - p) falls below 1e-3 as p nears 4/3
+    while slope_kernel(lo, p) <= 0:
+        lo /= 2.0
+        if lo < 1e-12:
+            raise RuntimeError("failed to bracket the kernel root")
     return _bisect(lambda t: slope_kernel(t, p) > 0, lo, hi, 120)
 
 
@@ -254,59 +261,39 @@ def peak_ratio(p: float) -> float:
 
 _CHAIN_EXPONENTS = (4.0 / 3.0, 1.5, 2.0, 3.0)
 
+# Pairs per block of a verify sweep: the chain holds 21 arrays of the block's
+# size at once (168 MB at 10^6 pairs), so blocks of 2^15 bound it near 6 MB;
+# 2^14 to 2^16 run at the same speed.
+_SWEEP_BLOCK = 32_768
 
-def _chain_members(t: np.ndarray) -> list[tuple[str, np.ndarray]]:
-    """The eleven-term scaled/plain power-mean chain around sandor-yang, as logs."""
-    members = [("lambda_inf*max", math.log(sharp_factor(math.inf)) + t)]
-    for p in _CHAIN_EXPONENTS[::-1]:
-        members.append(
-            (
-                f"lambda_{p:g}*power:{p:g}",
-                math.log(sharp_factor(p)) + log_mean_normalized(MeanKind.power(p), t),
-            )
-        )
-    members.append(("sandor-yang", log_mean_normalized(MeanKind("sandor-yang"), t)))
-    for p in _CHAIN_EXPONENTS:
-        members.append((f"power:{p:g}", log_mean_normalized(MeanKind.power(p), t)))
-    members.append(("max", t.copy()))
-    return members
+
+def _chain_rows(t: np.ndarray) -> list[tuple[str, str, np.ndarray]]:
+    """(label, expression, log value at t) of the eleven chain members, ascending."""
+    powers = [(p, f"{p:g}", log_mean_normalized(MeanKind.power(p), t)) for p in _CHAIN_EXPONENTS]
+    log_lam_inf = math.log(sharp_factor(math.inf))
+    rows = [("lambda_inf*max", "exp(pi/4-1)/sqrt(2) * max(a,b)", log_lam_inf + t)]
+    for p, g, prof in reversed(powers):
+        expr = f"exp(pi/4-1)*2^(1/({g})-1/2) * power-mean({g})"
+        rows.append((f"lambda_{g}*power:{g}", expr, math.log(sharp_factor(p)) + prof))
+    sy_expr = "quadratic-mean * exp(arithmetic/second-seiffert - 1)"
+    rows.append(("sandor-yang", sy_expr, log_mean_normalized(MeanKind("sandor-yang"), t)))
+    rows += [(f"power:{g}", f"power-mean({g})", prof) for _, g, prof in powers]
+    return rows + [("max", "max(a,b)", t)]
 
 
 def chain_margins(t) -> np.ndarray:
     """Adjacent log differences of the chain; the chain holds iff all >= -TIE."""
     arr = np.atleast_1d(np.asarray(t, dtype=float))
-    logs = np.stack([v for _, v in _chain_members(arr)])
-    return np.diff(logs, axis=0)
-
-
-def verify_chain(a: float, b: float) -> bool:
-    """Check the full scaled-power-mean chain at one argument pair."""
-    if a == b:
-        raise ValueError("chain verification requires distinct arguments")
-    return bool(np.all(chain_margins(half_log_ratio(a, b)) >= -TIE))
+    return np.diff(np.stack([logval for _, _, logval in _chain_rows(arr)]), axis=0)
 
 
 def chain_table(a: float, b: float) -> list[tuple[str, str, float]]:
     """(label, expression, value) rows of the chain, in ascending order."""
     if a == b:
         raise ValueError("chain table requires distinct arguments")
-    t = np.atleast_1d(half_log_ratio(a, b))
     scale = math.sqrt(a) * math.sqrt(b)
-    rows = []
-    for label, logval in _chain_members(t):
-        if label.startswith("lambda_inf"):
-            expr = "exp(pi/4-1)/sqrt(2) * max(a,b)"
-        elif label.startswith("lambda_"):
-            p = label.split("*")[0].removeprefix("lambda_")
-            expr = f"exp(pi/4-1)*2^(1/({p})-1/2) * power-mean({p})"
-        elif label == "max":
-            expr = "max(a,b)"
-        elif label.startswith("power:"):
-            expr = f"power-mean({label.removeprefix('power:')})"
-        else:
-            expr = "quadratic-mean * exp(arithmetic/second-seiffert - 1)"
-        rows.append((label, expr, scale * math.exp(float(logval[0]))))
-    return rows
+    rows = _chain_rows(np.atleast_1d(half_log_ratio(a, b)))
+    return [(label, expr, scale * math.exp(float(logval[0]))) for label, expr, logval in rows]
 
 
 def squeeze_margins(t):
@@ -323,12 +310,34 @@ def squeeze_margins(t):
     return low, high
 
 
-def verify_squeeze(a: float, b: float) -> bool:
-    """Strict arithmetic < sandor-yang < quadratic check for one pair."""
-    if a == b:
-        raise ValueError("squeeze verification requires distinct arguments")
-    low, high = squeeze_margins(half_log_ratio(a, b))
-    return bool(low > 0) and bool(high > 0)
+def _holds_at_every_pair(a, b, name: str, holds: Callable[[np.ndarray], bool]) -> bool:
+    """True iff holds(t) at the half log ratio t of every pair of the broadcast a, b."""
+    # .flat copies only the block; ravel() of a broadcast scalar copies it all
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    ok = True
+    for i in range(0, a.size, _SWEEP_BLOCK):
+        t = half_log_ratio(a.flat[i : i + _SWEEP_BLOCK], b.flat[i : i + _SWEEP_BLOCK])
+        if np.any(t == 0.0):  # exactly the equal pairs
+            raise ValueError(f"{name} verification requires distinct arguments")
+        # no early exit: an equal pair in a later block must still raise
+        ok = holds(t) and ok
+    return ok
+
+
+def verify_chain(a, b) -> bool:
+    """The full scaled-power-mean chain at every pair of a and b.
+
+    a and b are positive numbers or arrays that broadcast together.  True iff
+    the chain holds at every pair; an equal pair raises ValueError.
+    """
+    return _holds_at_every_pair(a, b, "chain", lambda t: bool(np.all(chain_margins(t) >= -TIE)))
+
+
+def verify_squeeze(a, b) -> bool:
+    """Strict arithmetic < sandor-yang < quadratic at every pair, taking a, b as verify_chain."""
+    return _holds_at_every_pair(
+        a, b, "squeeze", lambda t: all(bool(np.all(m > 0)) for m in squeeze_margins(t))
+    )
 
 
 # --- second-seiffert versus lehmer table -------------------------------------
@@ -348,15 +357,9 @@ def verify_seiffert_lehmer() -> dict:
     l_zero = log_mean_normalized(MeanKind.lehmer(0.0), grid)
     m_53 = log_mean_normalized(MeanKind.power(5.0 / 3.0), grid)
 
-    at40 = 40.0
-    ratio_third = math.exp(
-        log_mean_normalized(MeanKind("second-seiffert"), at40)
-        - log_mean_normalized(MeanKind.lehmer(1.0 / 3.0), at40)
-    )
-    ratio_zero = math.exp(
-        log_mean_normalized(MeanKind("second-seiffert"), at40)
-        - log_mean_normalized(MeanKind.lehmer(0.0), at40)
-    )
+    t40 = log_mean_normalized(MeanKind("second-seiffert"), 40.0)
+    ratio_third = math.exp(t40 - log_mean_normalized(MeanKind.lehmer(1.0 / 3.0), 40.0))
+    ratio_zero = math.exp(t40 - log_mean_normalized(MeanKind.lehmer(0.0), 40.0))
 
     two_pi = 2.0 / math.pi
     four_pi = 4.0 / math.pi

@@ -262,6 +262,28 @@ def test_verify_pair_usage_errors(capsys):
         assert err.startswith("error:")
 
 
+def test_chain_and_verify_stdout_is_pinned(capsys):
+    expected = {
+        ("table", "--which", "chain"): """label,expression,value
+lambda_inf*max,exp(pi/4-1)/sqrt(2) * max(a,b),1.71161413141315
+lambda_3*power:3,exp(pi/4-1)*2^(1/(3)-1/2) * power-mean(3),1.7324895318519
+lambda_2*power:2,exp(pi/4-1)*2^(1/(2)-1/2) * power-mean(2),1.80419971019877
+lambda_1.5*power:1.5,exp(pi/4-1)*2^(1/(1.5)-1/2) * power-mean(1.5),1.92471310718548
+lambda_1.33333*power:1.33333,exp(pi/4-1)*2^(1/(1.33333)-1/2) * power-mean(1.33333),2.00046642064742
+sandor-yang,quadratic-mean * exp(arithmetic/second-seiffert - 1),2.07926439355815
+power:1.33333,power-mean(1.33333),2.0848468621784
+power:1.5,power-mean(1.5),2.12517516148581
+power:2,power-mean(2),2.23606797749979
+power:3,power-mean(3),2.41014226417523
+max,max(a,b),3
+""",
+        ("verify", "--which", "chain", "--pairs", "500"): "pairs,500\nresult,pass\n",
+        ("verify", "--which", "squeeze"): "pairs,10000\nresult,pass\n",
+    }
+    for argv, out in expected.items():
+        assert run(capsys, *argv) == (0, out, ""), argv
+
+
 # --- wiring -----------------------------------------------------------------
 
 

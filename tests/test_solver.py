@@ -1,6 +1,7 @@
 """Endpoint solving, sharp constants, witnesses, chains, and verifications."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from meanbounds import (
     verify_seiffert_lehmer,
     verify_squeeze,
 )
-from meanbounds.solver import _CLOSED_FORMS, _bound_predicate
+from meanbounds.solver import _CLOSED_FORMS, _bound_predicate, _mean_log_on_grid
 
 # frozen from a 50-digit evaluation of the closed forms
 P0 = 1.2351702290504027
@@ -119,6 +120,14 @@ def test_gap_peak_value_is_the_supremum_ratio():
 def test_gap_peak_moves_down_as_the_exponent_rises():
     peaks = [gap_peak(p) for p in (1.05, 1.15, 1.25, 1.32)]
     assert all(x > y for x, y in zip(peaks, peaks[1:]))
+
+
+def test_gap_peak_near_the_upper_exponent():
+    # t0 ~ 2.3 sqrt(4/3 - p) falls below the bracket's old floor of 1e-3
+    for gap in (1e-8, 1e-10):
+        p = 4.0 / 3.0 - gap
+        t0 = gap_peak(p)
+        assert slope_kernel(0.99 * t0, p) > 0 > slope_kernel(1.01 * t0, p)
 
 
 def test_gap_peak_domain():
@@ -230,6 +239,12 @@ def test_no_witness_at_the_sharp_parameters():
     assert find_witness(MeanKind("second-seiffert"), "lehmer", 1.0 / 3.0, "upper") is None
 
 
+def test_target_profile_cache_is_bounded():
+    for p in np.linspace(0.5, 3.0, 200):
+        find_witness(MeanKind.power(float(p)), "power", 1.0, "lower")
+    assert _mean_log_on_grid.cache_info().currsize <= 32
+
+
 def test_witness_side_validation():
     with pytest.raises(ValueError):
         find_witness(MeanKind("sandor-yang"), "power", 1.0, "middle")
@@ -244,6 +259,24 @@ def test_chain_on_sample_pairs():
     assert verify_chain(5.0, 0.002)
     with pytest.raises(ValueError):
         verify_chain(2.0, 2.0)
+    # arrays of pairs: one bool for all of them, and any equal pair is an error
+    a = np.array([1.0, 1.0, 5.0, 0.3])
+    b = np.array([3.0, 1.0 + 1e-9, 0.002, 4e7])
+    for x, y in ((a, b), (1.0, b), (a[:, None], b[None, 1:])):
+        result = verify_chain(x, y)
+        assert type(result) is bool
+        assert result == all(verify_chain(float(u), float(v)) for u, v in np.broadcast(x, y))
+    with pytest.raises(ValueError):
+        verify_chain(a, np.append(b[:-1], 0.3))
+    # the sweep's memory stays at one block of pairs, whatever their number
+    b = np.exp(2.0 * np.logspace(-10, math.log10(13.8), 10**6))
+    tracemalloc.start()
+    try:
+        assert verify_chain(1.0, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
 
 
 def test_chain_margins_stay_nonnegative_on_a_sweep():
@@ -285,6 +318,14 @@ def test_squeeze_on_pairs():
     assert verify_squeeze(1e-6, 1e6)
     with pytest.raises(ValueError):
         verify_squeeze(4.0, 4.0)
+    a = np.array([1.0, 1.0, 1e-6, 4.0])
+    b = np.array([3.0, 1.0 + 1e-10, 1e6, 0.5])
+    for x, y in ((a, b), (1.0, b[:2]), (a[:, None], b[None, :2])):
+        result = verify_squeeze(x, y)
+        assert type(result) is bool
+        assert result == all(verify_squeeze(float(u), float(v)) for u, v in np.broadcast(x, y))
+    with pytest.raises(ValueError):
+        verify_squeeze(a, np.append(b[:-1], 4.0))
 
 
 def test_seiffert_lehmer_verification():
