@@ -26,6 +26,7 @@ as small as 1e-31 which the closed forms would drown in rounding noise.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,11 +36,12 @@ from .numerics import (
     _cosh_coeffs,
     _elementwise,
     _horner,
+    _logcosh,
+    _logsinh,
+    _piecewise,
     _series_quotient,
     _sinh_coeffs,
     atan_tanh,
-    logcosh,
-    logsinh,
 )
 
 _SLOPE_SERIES_RADIUS = 0.1
@@ -60,6 +62,12 @@ def curvature_coefficient(n: int, p):
     return (2 - p) ** (2 * n) - p ** (2 * n) + (1 - p) * 4**n + 2 * p
 
 
+@lru_cache(maxsize=None)
+def _float_coeffs(table):
+    """The first _SLOPE_SERIES_TERMS coefficients of an exact table, as floats."""
+    return [float(c) for c in table(_SLOPE_SERIES_TERMS)]
+
+
 def _slope_series_table(p: float):
     """x = t^2 coefficients of slope_kernel(t, p) / t^3.
 
@@ -67,9 +75,9 @@ def _slope_series_table(p: float):
     arctan(tanh) series.  The leading coefficient is (4/3 - p).
     """
     n = _SLOPE_SERIES_TERMS
-    sinh_c = [float(c) for c in _sinh_coeffs(n)]
-    atan_c = [float(c) for c in _atan_tanh_coeffs(n)]
-    cosh_c = [float(c) for c in _cosh_coeffs(n)]
+    sinh_c = _float_coeffs(_sinh_coeffs)
+    atan_c = _float_coeffs(_atan_tanh_coeffs)
+    cosh_c = _float_coeffs(_cosh_coeffs)
     q = p - 1.0
     cosh_q = [cosh_c[k] * q ** (2 * k) for k in range(n)]
     cosh_p = [cosh_c[k] * p ** (2 * k) for k in range(n)]
@@ -81,18 +89,15 @@ def _slope_series_table(p: float):
 
 
 def _slope_kernel(t, p: float):
-    out = np.empty_like(t)
-    small = t < _SLOPE_SERIES_RADIUS
-    if small.any():
-        ts = t[small]
-        out[small] = _horner(_slope_series_table(p), ts * ts) * ts**3
-    big = ~small
-    if big.any():
-        tb = t[big]
+    def series(t):
+        return _horner(_slope_series_table(p), t * t) * np.power(t, 3)
+
+    def closed(t):
         with np.errstate(over="ignore"):
-            core = np.exp(logsinh(tb) + logcosh((p - 1.0) * tb) - logcosh(p * tb))
-        out[big] = core - atan_tanh(tb)
-    return out
+            core = np.exp(_logsinh(t) + _logcosh((p - 1.0) * t) - _logcosh(p * t))
+        return core - atan_tanh(t)
+
+    return _piecewise(t, ((lambda t: t < _SLOPE_SERIES_RADIUS, series), (None, closed)))
 
 
 @_elementwise("nonnegative")
@@ -110,31 +115,37 @@ def curvature_kernel(t, p: float):
     """cosh((p-2)t) - cosh(pt) + (1-p)cosh(2t) + 2p cosh(t) - p - 1, for t >= 0."""
     p = float(p)
     terms = ((1.0, p - 2.0), (-1.0, p), (1.0 - p, 2.0), (2.0 * p, 1.0))  # w cosh(k t)
-    out = np.empty_like(t)
-    small = t < _CURV_SERIES_RADIUS
-    if small.any():
-        x = t[small] ** 2
+
+    def series(t):
+        x = np.square(t)
         coeffs = [
             curvature_coefficient(n, p) / math.factorial(2 * n)
             for n in range(1, _CURV_SERIES_TERMS + 1)
         ]
-        out[small] = _horner(coeffs, x) * x
-    far = t > _CURV_CLOSED_MAX_ARG / max(abs(k) for _, k in terms)
-    if far.any():
+        return _horner(coeffs, x) * x
+
+    def far(t):
         # rate t > 350 here, so the kernel is sum w e^(|k| t)/2 to within
         # e^-350; summed relative to e^(rate t), it turns +/-inf past DBL_MAX
-        tf = t[far]
         live = [(w, abs(k)) for w, k in terms if w != 0.0]
         rate = max(k for _, k in live)
-        scaled = sum(0.5 * w * np.exp((k - rate) * tf) for w, k in live)
+        scaled = sum(0.5 * w * np.exp((k - rate) * t) for w, k in live)
         with np.errstate(over="ignore"):
-            half = np.exp(0.5 * rate * tf)
-            out[far] = scaled * half * half
-    big = ~(small | far)
-    if big.any():
-        tb = t[big]
-        out[big] = sum(w * np.cosh(k * tb) for w, k in terms) - p - 1.0
-    return out
+            half = np.exp(0.5 * rate * t)
+            return scaled * half * half
+
+    def closed(t):
+        return sum(w * np.cosh(k * t) for w, k in terms) - p - 1.0
+
+    far_from = _CURV_CLOSED_MAX_ARG / max(abs(k) for _, k in terms)
+    return _piecewise(
+        t,
+        (
+            (lambda t: t < _CURV_SERIES_RADIUS, series),
+            (lambda t: t > far_from, far),
+            (None, closed),
+        ),
+    )
 
 
 @_elementwise("nonnegative")
@@ -154,7 +165,7 @@ def log_gap(t, p: float):
 def log_gap_slope(t, p: float):
     """d/dt of log_gap = slope_kernel(t, p) / sinh^2(t), for t > 0."""
     with np.errstate(over="ignore"):
-        return _slope_kernel(t, float(p)) / np.sinh(t) ** 2
+        return _slope_kernel(t, float(p)) / np.square(np.sinh(t))
 
 
 def log_gap_residual(a: float, b: float, p: float) -> float:

@@ -31,19 +31,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .numerics import (
     LOG2,
+    _atan_sinh_ratio_m1,
+    _atan_tanh_ratio_m1,
     _elementwise,
+    _ellipe_agm,
     _gauss_kummer_table,
     _horner,
-    atan_sinh_ratio_m1,
-    atan_tanh_ratio_m1,
-    ellipe_agm,
-    logcosh,
-    logsinh,
+    _logcosh,
+    _logsinh,
+    _piecewise,
 )
 
 PLAIN_TAGS = (
@@ -127,10 +129,17 @@ def parse_mean(text: str) -> MeanKind:
     return MeanKind(name, value)
 
 
+# Past a ratio of 1e300 the relative gap (hi - lo)/lo may overflow; there
+# t > 345, so the difference of the logs is relative-accurate.  The test
+# lo / hi < 1e-300 cannot overflow, and is subnormal only past that ratio.
+_HALF_LOG_RATIO_ROWS = (
+    (lambda lo, hi: lo / hi < 1e-300, lambda lo, hi: 0.5 * (np.log(hi) - np.log(lo))),
+    (None, lambda lo, hi: 0.5 * np.log1p((hi - lo) / lo)),
+)
+
+
 def _half_log_ratio(a, b):
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
-    return 0.5 * np.log1p((hi - lo) / lo)
+    return _piecewise(np.minimum(a, b), _HALF_LOG_RATIO_ROWS, np.maximum(a, b))
 
 
 @_elementwise("positive", arrays=2)
@@ -138,15 +147,18 @@ def half_log_ratio(a, b):
     """t = log sqrt(max/min); zero iff a = b.
 
     Computed through log1p of the relative gap, which stays fully accurate
-    when a and b agree to many digits (log(b) - log(a) would not).
+    when a and b agree to many digits (log(b) - log(a) would not), and as
+    the difference of the logs past a ratio of 1e300, where the gap may
+    overflow.
     """
     return _half_log_ratio(a, b)
 
 
 # --- normalized log-mean evaluators ----------------------------------------
 #
-# Each evaluator takes an ndarray t > 0 and returns log m(t) elementwise.
-# t == 0, where several forms are 0/0, is handled once, in _log_mean.
+# Each evaluator takes t > 0, an array or a numpy scalar, and returns log m(t)
+# elementwise.  t == 0, where several forms are 0/0, is a branch of its own in
+# log_mean_normalized and eval_mean.
 
 
 def _lognorm_power(p: float, t):
@@ -156,11 +168,11 @@ def _lognorm_power(p: float, t):
         return t.copy() if p > 0 else -t
     if abs(p) < _POWER_SMALL_P:
         return 0.5 * p * t * t
-    return logcosh(p * t) / p
+    return _logcosh(p * t) / p
 
 
 def _lognorm_lehmer(p: float, t):
-    return logcosh((p + 1.0) * t) - logcosh(p * t)
+    return _logcosh((p + 1.0) * t) - _logcosh(p * t)
 
 
 # sinh overflows past ~710; its arctan is already pi/2 to machine precision
@@ -172,22 +184,20 @@ def _sinh_clipped(t):
 def _lognorm_sandor_yang(t):
     # log cosh(2t)/2 split as log cosh(t) + log(1 + tanh^2 t)/2: every term is
     # relative-accurate, so the t^2 leading behaviour survives cancellation.
-    return logcosh(t) + 0.5 * np.log1p(np.tanh(t) ** 2) + atan_tanh_ratio_m1(t)
+    return _logcosh(t) + 0.5 * np.log1p(np.square(np.tanh(t))) + _atan_tanh_ratio_m1(t)
 
 
-def _lognorm_toader(t):
-    out = np.empty_like(t)
-    small = t < _TOADER_SERIES_T
-    if small.any():
-        # log(cosh t (1 + h S(h))), with log cosh t = -log(1 - h)/2
-        h = np.tanh(t[small]) ** 2
-        series = h * _horner(_gauss_kummer_table(_TOADER_SERIES_TERMS), h)
-        out[small] = np.log1p(series) - 0.5 * np.log1p(-h)
-    big = ~small
-    if big.any():
-        tb = t[big]
-        out[big] = tb + np.log((2.0 / math.pi) * ellipe_agm(-np.expm1(-4.0 * tb)))
-    return out
+def _toader_series(t):
+    # log(cosh t (1 + h S(h))), with log cosh t = -log(1 - h)/2
+    h = np.square(np.tanh(t))
+    series = h * _horner(_gauss_kummer_table(_TOADER_SERIES_TERMS), h)
+    return np.log1p(series) - 0.5 * np.log1p(-h)
+
+
+_TOADER_ROWS = (
+    (lambda t: t < _TOADER_SERIES_T, _toader_series),
+    (None, lambda t: t + np.log((2.0 / math.pi) * _ellipe_agm(-np.expm1(-4.0 * t)))),
+)
 
 
 _PLAIN_LOGNORM = {
@@ -195,36 +205,31 @@ _PLAIN_LOGNORM = {
     "geometric": lambda t: _lognorm_power(0.0, t),
     "arithmetic": lambda t: _lognorm_power(1.0, t),
     "quadratic": lambda t: _lognorm_power(2.0, t),
-    "log": lambda t: logsinh(t) - np.log(t),
+    "log": lambda t: _logsinh(t) - np.log(t),
     "identric": lambda t: t / np.tanh(t) - 1.0,
-    "first-seiffert": lambda t: logsinh(t) - np.log(np.arctan(_sinh_clipped(t))),
-    "second-seiffert": lambda t: logsinh(t) - np.log(np.arctan(np.tanh(t))),
-    "neuman-sandor": lambda t: logsinh(t) - np.log(np.arcsinh(np.tanh(t))),
-    "yang": lambda t: logsinh(t) + 0.5 * LOG2 - np.log(np.arctan(_SQRT2 * _sinh_clipped(t))),
-    "sandor": lambda t: logcosh(t) + atan_sinh_ratio_m1(t),
-    "toader": _lognorm_toader,
+    "first-seiffert": lambda t: _logsinh(t) - np.log(np.arctan(_sinh_clipped(t))),
+    "second-seiffert": lambda t: _logsinh(t) - np.log(np.arctan(np.tanh(t))),
+    "neuman-sandor": lambda t: _logsinh(t) - np.log(np.arcsinh(np.tanh(t))),
+    "yang": lambda t: _logsinh(t) + 0.5 * LOG2 - np.log(np.arctan(_SQRT2 * _sinh_clipped(t))),
+    "sandor": lambda t: _logcosh(t) + _atan_sinh_ratio_m1(t),
+    "toader": lambda t: _piecewise(t, _TOADER_ROWS),
     "sandor-yang": _lognorm_sandor_yang,
 }
 
 
-def _log_mean(kind: MeanKind, t):
-    """log m(t) on an array t >= 0; entries t == 0 give log m(0) = 0 exactly."""
-    if not t.all():
-        zero = t == 0.0
-        out = _log_mean(kind, np.where(zero, 1.0, t))
-        out[zero] = 0.0
-        return out
+def _lognorm(kind: MeanKind):
+    """The evaluator of log m(t) for t > 0."""
     if kind.tag == "power":
-        return _lognorm_power(kind.param, t)
+        return partial(_lognorm_power, kind.param)
     if kind.tag == "lehmer":
-        return _lognorm_lehmer(kind.param, t)
-    return _PLAIN_LOGNORM[kind.tag](t)
+        return partial(_lognorm_lehmer, kind.param)
+    return _PLAIN_LOGNORM[kind.tag]
 
 
 @_elementwise("nonnegative", lead=1)
 def log_mean_normalized(kind: MeanKind, t):
     """log of the mean evaluated on the pair (e^-t, e^t), elementwise."""
-    return _log_mean(kind, t)
+    return _piecewise(t, ((lambda t: t == 0.0, np.zeros_like), (None, _lognorm(kind))))
 
 
 def eval_mean_normalized(kind: MeanKind, t):
@@ -242,8 +247,16 @@ def eval_mean(kind: MeanKind, a, b):
     """
     if kind.tag == "power" and math.isinf(kind.param):
         return np.maximum(a, b) if kind.param > 0 else np.minimum(a, b)
-    scale = np.sqrt(a) * np.sqrt(b)
-    return np.where(a == b, a, scale * np.exp(_log_mean(kind, _half_log_ratio(a, b))))
+
+    lognorm = _lognorm(kind)
+
+    def scaled(t, a, b):
+        # log m first, so that sqrt(ab) is not held while it is evaluated
+        return np.exp(lognorm(t)) * (np.sqrt(a) * np.sqrt(b))
+
+    # the half log ratio is 0 exactly where a == b
+    rows = ((lambda t, a, b: t == 0.0, lambda t, a, b: a.copy()), (None, scaled))
+    return _piecewise(_half_log_ratio(a, b), rows, a, b)
 
 
 def toader_mean(a, b):

@@ -4,9 +4,10 @@ Everything here is overflow-safe binary64: log-of-hyperbolic helpers with
 large-argument branches, exact-rational Maclaurin tables for the ratio
 expansions that would otherwise cancel catastrophically near zero, the
 Gauss-Kummer coefficients of the Toader mean, and an AGM evaluation of the
-complete elliptic integral of the second kind.  It also holds the three
+complete elliptic integral of the second kind.  It also holds the four
 helpers the package shares: the scalar/array boundary of its public
-functions, Horner's rule and bisection.
+functions, the branch table of every piecewise evaluator, Horner's rule and
+bisection.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import lru_cache, reduce, wraps
 
 import numpy as np
 
@@ -30,36 +31,68 @@ def _elementwise(domain=None, arrays=1, lead=0):
     """The scalar/array boundary of every public elementwise function.
 
     The decorated function receives its `arrays` array arguments, those after
-    its first `lead` ones, as float arrays of at least one dimension, checked
-    to be `domain` ("positive" or "nonnegative"; NaN is neither).  It returns
-    a float when all of them were scalars and its array otherwise.
+    its first `lead` ones, checked to be `domain` ("positive" or
+    "nonnegative"; NaN is neither).  When all of them are scalars it gets them
+    as numpy float64 scalars and the result comes back as a float; otherwise
+    it gets float arrays of at least one dimension and its array comes back.
     """
     check = {"positive": operator.gt, "nonnegative": operator.ge}.get(domain)
 
     def decorate(fn):
         names = fn.__code__.co_varnames[: lead + arrays]
 
+        def reject():
+            raise ValueError(f"{' and '.join(names[lead:])} must be {domain}")
+
         @wraps(fn)
         def boundary(*args, **kwargs):
             if kwargs:
                 args += tuple(kwargs.pop(name) for name in names[len(args) :])
-            arrs = []
-            scalar = True
-            for x in args[lead : lead + arrays]:
-                arr = np.asarray(x, dtype=float)
-                if arr.ndim == 0:
-                    arr = arr.reshape(1)
-                else:
-                    scalar = False
-                if check and not check(arr.min(initial=math.inf), 0.0):
-                    raise ValueError(f"{' and '.join(names[lead:])} must be {domain}")
-                arrs.append(arr)
-            out = fn(*args[:lead], *arrs, *args[lead + arrays :], **kwargs)
-            return float(out[0]) if scalar else out
+            arrs = [np.asarray(x, dtype=float) for x in args[lead : lead + arrays]]
+            if all(arr.ndim == 0 for arr in arrs):
+                xs = [arr[()] for arr in arrs]
+                if check and not all(check(x, 0.0) for x in xs):
+                    reject()
+                return float(fn(*args[:lead], *xs, *args[lead + arrays :], **kwargs))
+            arrs = [arr.reshape(1) if arr.ndim == 0 else arr for arr in arrs]
+            if check and not all(check(arr.min(initial=math.inf), 0.0) for arr in arrs):
+                reject()
+            return fn(*args[:lead], *arrs, *args[lead + arrays :], **kwargs)
 
         return boundary
 
     return decorate
+
+
+def _piecewise(x, rows, *more):
+    """A piecewise function of x: rows are (predicate, fn), the last (None, fn).
+
+    The predicates are disjoint and the last row takes every x they leave.
+    Each predicate and fn gets x followed by `more`, broadcast to x's shape.
+    On a numpy scalar x only the live row runs, with no mask.  On an array
+    each fn runs on the elements of its row, or on all of x when they are
+    all of its row.
+    """
+    if not isinstance(x, np.ndarray):
+        for predicate, fn in rows:
+            if predicate is None or predicate(x, *more):
+                return fn(x, *more)
+    if more:
+        more = np.broadcast_arrays(x, *more)[1:]
+    masks = [predicate(x, *more) for predicate, _ in rows[:-1]]
+    counts = [np.count_nonzero(mask) for mask in masks]
+    counts.append(x.size - sum(counts))
+    if x.size in counts:
+        return rows[counts.index(x.size)][1](x, *more)
+    masks.append(~reduce(operator.or_, masks))
+    out = None
+    for mask, count, (_, fn) in zip(masks, counts, rows):
+        if count:
+            value = fn(x[mask], *[y[mask] for y in more]) if more else fn(x[mask])
+            if out is None:  # only now: the first row's temporaries are freed
+                out = np.empty_like(x)
+            out[mask] = value
+    return out
 
 
 def _horner(coeffs, x):
@@ -75,10 +108,13 @@ def _bisect(goes_right, lo, hi, steps, rel_width=0.0):
     """Midpoint of [lo, hi] after bisecting towards the switch of goes_right.
 
     goes_right(x) is True left of the switch point and False right of it.
-    Stops after `steps` halvings, or once hi - lo <= rel_width * hi.
+    Stops after `steps` halvings, once hi - lo <= rel_width * hi, or once
+    the midpoint rounds to an end, where every further step returns it.
     """
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
         if goes_right(mid):
             lo = mid
         else:
@@ -88,30 +124,33 @@ def _bisect(goes_right, lo, hi, steps, rel_width=0.0):
     return 0.5 * (lo + hi)
 
 
+_LOGCOSH_ROWS = (
+    (lambda a: a < 1.0, lambda a: np.log1p(2.0 * np.square(np.sinh(0.5 * a)))),
+    (lambda a: a > 20.0, lambda a: a - LOG2 + np.log1p(np.exp(-2.0 * a))),
+    (None, lambda a: np.log(np.cosh(a))),
+)
+
+
 @_elementwise()
 def logcosh(x):
     """log(cosh(x)) without overflow, accurate down to x = 0."""
-    a = np.abs(x)
-    out = np.empty_like(a)
-    small = a < 1.0
-    big = a > 20.0
-    mid = ~(small | big)
-    out[small] = np.log1p(2.0 * np.sinh(0.5 * a[small]) ** 2)
-    out[mid] = np.log(np.cosh(a[mid]))
-    ab = a[big]
-    out[big] = ab - LOG2 + np.log1p(np.exp(-2.0 * ab))
-    return out
+    return _piecewise(np.abs(x), _LOGCOSH_ROWS)
+
+
+_LOGSINH_ROWS = (
+    (lambda x: x > 20.0, lambda x: x - LOG2 + np.log1p(-np.exp(-2.0 * x))),
+    (None, lambda x: np.log(np.sinh(x))),
+)
 
 
 @_elementwise()
 def logsinh(x):
     """log(sinh(x)) for x > 0 without overflow."""
-    out = np.empty_like(x)
-    big = x > 20.0
-    out[~big] = np.log(np.sinh(x[~big]))
-    xb = x[big]
-    out[big] = xb - LOG2 + np.log1p(-np.exp(-2.0 * xb))
-    return out
+    return _piecewise(x, _LOGSINH_ROWS)
+
+
+# the undecorated functions, for callers already past the boundary
+_logcosh, _logsinh = logcosh.__wrapped__, logsinh.__wrapped__
 
 
 def atan_tanh(x):
@@ -181,16 +220,22 @@ def _odd_ratio_table(num, den):
     return np.array([float(v) for v in q[1:]])
 
 
-def _ratio_minus_one(a, num, den, direct):
-    out = np.empty_like(a)
-    small = a < _SERIES_RADIUS
-    if small.any():
-        x = a[small] ** 2
-        out[small] = _horner(_odd_ratio_table(num, den), x) * x
-    big = ~small
-    if big.any():
-        out[big] = direct(a[big])
-    return out
+def _ratio_rows(num, den, direct):
+    """Rows of num(a)/den(a) - 1: the t^2 series below _SERIES_RADIUS."""
+
+    def series(a):
+        x = np.square(a)
+        return _horner(_odd_ratio_table(num, den), x) * x
+
+    return ((lambda a: a < _SERIES_RADIUS, series), (None, direct))
+
+
+_ATAN_TANH_RATIO_ROWS = _ratio_rows(
+    _atan_tanh_coeffs, _tanh_coeffs, lambda a: np.arctan(np.tanh(a)) / np.tanh(a) - 1.0
+)
+_ATAN_SINH_RATIO_ROWS = _ratio_rows(
+    _atan_sinh_coeffs, _sinh_coeffs, lambda a: np.arctan(np.sinh(a)) / np.sinh(a) - 1.0
+)
 
 
 @_elementwise()
@@ -200,17 +245,17 @@ def atan_tanh_ratio_m1(x):
     The direct quotient loses all its digits below x ~ 1e-8 (the ratio is
     1 - 2x^2/3 + ...); the series branch keeps the t^2 leading term exact.
     """
-    return _ratio_minus_one(
-        x, _atan_tanh_coeffs, _tanh_coeffs, lambda a: np.arctan(np.tanh(a)) / np.tanh(a) - 1.0
-    )
+    return _piecewise(x, _ATAN_TANH_RATIO_ROWS)
 
 
 @_elementwise()
 def atan_sinh_ratio_m1(x):
     """arctan(sinh x)/sinh(x) - 1, relative-accurate for all x >= 0."""
-    return _ratio_minus_one(
-        x, _atan_sinh_coeffs, _sinh_coeffs, lambda a: np.arctan(np.sinh(a)) / np.sinh(a) - 1.0
-    )
+    return _piecewise(x, _ATAN_SINH_RATIO_ROWS)
+
+
+_atan_tanh_ratio_m1 = atan_tanh_ratio_m1.__wrapped__
+_atan_sinh_ratio_m1 = atan_sinh_ratio_m1.__wrapped__
 
 
 # --- elliptic integrals ---------------------------------------------------
@@ -226,14 +271,8 @@ def _gauss_kummer_table(n):
     )
 
 
-@_elementwise()
-def ellipe_agm(m):
-    """Complete elliptic integral E(m) = int_0^{pi/2} sqrt(1 - m sin^2) dθ.
-
-    Arithmetic-geometric-mean iteration; quadratic convergence gives full
-    binary64 accuracy on m in [0, 1] (m = 1 returns the exact limit 1).
-    """
-    a = np.ones_like(m)
+def _agm(m):
+    a = 1.0
     b = np.sqrt(1.0 - m)
     c2sum = 0.5 * m
     pow2 = 1.0
@@ -245,7 +284,21 @@ def ellipe_agm(m):
         a, b = 0.5 * (a + b), np.sqrt(a * b)
         c2sum = c2sum + pow2 * c * c
         pow2 *= 2.0
-    out = math.pi / (2.0 * a) * (1.0 - c2sum)
-    # at m == 1, b is 0 and a only halves each step: set the limit
-    out[m == 1.0] = 1.0
-    return out
+    return math.pi / (2.0 * a) * (1.0 - c2sum)
+
+
+# at m == 1, b is 0 and a only halves each step: the limit is 1
+_ELLIPE_ROWS = ((lambda m: m == 1.0, np.ones_like), (None, _agm))
+
+
+@_elementwise()
+def ellipe_agm(m):
+    """Complete elliptic integral E(m) = int_0^{pi/2} sqrt(1 - m sin^2) dθ.
+
+    Arithmetic-geometric-mean iteration; quadratic convergence gives full
+    binary64 accuracy on m in [0, 1] (m = 1 returns the exact limit 1).
+    """
+    return _piecewise(m, _ELLIPE_ROWS)
+
+
+_ellipe_agm = ellipe_agm.__wrapped__

@@ -326,9 +326,33 @@ def test_half_log_ratio_values_and_errors():
     assert half_log_ratio(9.0, 4.0) == half_log_ratio(4.0, 9.0)
     # tiny separations keep full relative accuracy via log1p
     assert half_log_ratio(1.0, 1.0 + 1e-12) == pytest.approx(0.5e-12, rel=1e-9)
+    # ratios past DBL_MAX, where the relative gap overflows
+    assert half_log_ratio(1e-200, 1e200) == pytest.approx(200.0 * math.log(10.0), rel=1e-15)
+    assert half_log_ratio(1.0, 5e-324) == pytest.approx(537.0 * math.log(2.0), rel=1e-15)
     for bad in ((0.0, 1.0), (1.0, -3.0), (-1.0, -2.0), (math.nan, 1.0)):
         with pytest.raises(ValueError):
             half_log_ratio(*bad)
+
+
+EXTREME_PAIRS = ((1e-200, 1e200), (5e-324, 1.0), (1e-308, 1e308))
+
+
+def test_extreme_pairs_match_the_oracle():
+    # power means with p < -1 are left out: at (5e-324, 1) they are about
+    # 2^(1/|p|) * 5e-324, which no subnormal float holds to this tolerance
+    kinds = [MeanKind(tag) for tag in PLAIN_TAGS]
+    kinds += [MeanKind.power(p) for p in (0.5, 2.0, 4.0)]
+    kinds += [MeanKind.lehmer(p) for p in (-2.0, 0.5, 2.0)]
+    for pair in EXTREME_PAIRS:
+        for a, b in (pair, pair[::-1]):
+            t = mp.log(mp.mpf(max(a, b)) / min(a, b)) / 2
+            for kind in kinds:
+                log_m = mp.log(mean_oracle(kind.tag, kind.param, mp.exp(-t), mp.exp(t)))
+                want = mp.sqrt(mp.mpf(a) * b) * mp.exp(log_m)
+                # exp turns the half-ulp rounding of log m into 2^-53 |log m|
+                tol = max(1e-13, 4.0 * 2.0**-52 * abs(float(log_m)))
+                got = eval_mean(kind, a, b)
+                assert abs(float((got - want) / want)) <= tol, (kind.label(), a, b, got)
 
 
 def test_parse_and_kind_validation():

@@ -257,6 +257,9 @@ def test_chain_on_sample_pairs():
     assert verify_chain(1.0, 3.0)
     assert verify_chain(1.0, 1.0 + 1e-9)
     assert verify_chain(5.0, 0.002)
+    # ratios past DBL_MAX, where the relative gap (hi - lo)/lo overflows
+    for a, b in ((1e-200, 1e200), (5e-324, 1.0)):
+        assert verify_chain(a, b) and verify_chain(b, a)
     with pytest.raises(ValueError):
         verify_chain(2.0, 2.0)
     # arrays of pairs: one bool for all of them, and any equal pair is an error
@@ -316,6 +319,8 @@ def test_squeeze_on_pairs():
     assert verify_squeeze(1.0, 3.0)
     assert verify_squeeze(1.0, 1.0 + 1e-10)
     assert verify_squeeze(1e-6, 1e6)
+    for a, b in ((1e-200, 1e200), (5e-324, 1.0), (1e-308, 1e308)):
+        assert verify_squeeze(a, b) and verify_squeeze(b, a)
     with pytest.raises(ValueError):
         verify_squeeze(4.0, 4.0)
     a = np.array([1.0, 1.0, 1e-6, 4.0])
