@@ -19,33 +19,39 @@ and the t-derivative of slope_kernel is in turn governed by
 with curvature_coefficient(n, p) = (2-p)^(2n) - p^(2n) + (1-p) 4^n + 2p.
 
 Both kernels vanish to high order at t = 0 while being differences of O(1)
-terms, so each carries a Maclaurin branch that preserves the sign of values
-as small as 1e-31 which the closed forms would drown in rounding noise.
+terms, which the closed forms would drown in rounding noise.  Below t = 0.1
+the slope kernel uses the product-to-sum identity
+
+    cosh(t) cosh((p-1)t) - cosh(pt) = -sinh((p-1)t) sinh(t),
+
+which leaves slope_kernel(t, p) / sinh^2(t) as a sum of two O(t) terms,
+
+    -sinh((p-1)t) / (cosh(pt) cosh(t)) - g(tanh t) / cosh^2(t),
+
+with g(y) = (arctan y - y)/y^2 from the arctan series.  No t^3 factor is
+formed, so this quotient, which log_gap_slope returns, keeps its relative
+accuracy down to the smallest normal t.  Below t = 1e-3 the curvature kernel sums its Maclaurin series, whose
+coefficients are exact in p.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
 from .means import MeanKind, _lognorm_power, _lognorm_sandor_yang, eval_mean, half_log_ratio
 from .numerics import (
-    _atan_tanh_coeffs,
-    _cosh_coeffs,
+    _ATAN_SERIES_Y,
+    _atan_series,
     _elementwise,
     _horner,
     _logcosh,
     _logsinh,
     _piecewise,
-    _series_quotient,
-    _sinh_coeffs,
     atan_tanh,
 )
 
-_SLOPE_SERIES_RADIUS = 0.1
-_SLOPE_SERIES_TERMS = 16
 _CURV_SERIES_RADIUS = 1e-3
 _CURV_SERIES_TERMS = 8
 # cosh(700) = 5e303: up to here the closed form's terms and sum stay finite
@@ -62,42 +68,24 @@ def curvature_coefficient(n: int, p):
     return (2 - p) ** (2 * n) - p ** (2 * n) + (1 - p) * 4**n + 2 * p
 
 
-@lru_cache(maxsize=None)
-def _float_coeffs(table):
-    """The first _SLOPE_SERIES_TERMS coefficients of an exact table, as floats."""
-    return [float(c) for c in table(_SLOPE_SERIES_TERMS)]
+def _slope_over_sinh2(t, p: float):
+    """slope_kernel(t, p) / sinh^2(t) by product to sum, for t < 0.1.
 
-
-def _slope_series_table(p: float):
-    """x = t^2 coefficients of slope_kernel(t, p) / t^3.
-
-    Built as the odd-series quotient sinh(t) cosh((p-1)t) / cosh(pt) minus the
-    arctan(tanh) series.  The leading coefficient is (4/3 - p).
+    There tanh t < 0.1 too, inside the arctan series' range.
     """
-    n = _SLOPE_SERIES_TERMS
-    sinh_c = _float_coeffs(_sinh_coeffs)
-    atan_c = _float_coeffs(_atan_tanh_coeffs)
-    cosh_c = _float_coeffs(_cosh_coeffs)
-    q = p - 1.0
-    cosh_q = [cosh_c[k] * q ** (2 * k) for k in range(n)]
-    cosh_p = [cosh_c[k] * p ** (2 * k) for k in range(n)]
-    # numerator: sinh(t) * cosh((p-1)t), odd series
-    num = [sum(sinh_c[i] * cosh_q[k - i] for i in range(k + 1)) for k in range(n)]
-    # divide by cosh(pt), then subtract the arctan(tanh t) coefficients
-    quot = _series_quotient(num, cosh_p)
-    return np.array([quot[k] - atan_c[k] for k in range(1, n)])
+    y = np.tanh(t)
+    c = np.cosh(t)
+    if abs(p) < 2.0:
+        a = np.sinh((p - 1.0) * t) / np.cosh(p * t)
+    else:  # the same, but finite for any p t; it cancels by at most a factor 2
+        a = np.tanh(p * t) * c - np.sinh(t)
+    return -(a + _atan_series(y) * (y / c)) / c
 
 
-def _slope_kernel(t, p: float):
-    def series(t):
-        return _horner(_slope_series_table(p), t * t) * np.power(t, 3)
-
-    def closed(t):
-        with np.errstate(over="ignore"):
-            core = np.exp(_logsinh(t) + _logcosh((p - 1.0) * t) - _logcosh(p * t))
-        return core - atan_tanh(t)
-
-    return _piecewise(t, ((lambda t: t < _SLOPE_SERIES_RADIUS, series), (None, closed)))
+def _slope_closed(t, p: float):
+    with np.errstate(over="ignore"):
+        core = np.exp(_logsinh(t) + _logcosh((p - 1.0) * t) - _logcosh(p * t))
+    return core - atan_tanh(t)
 
 
 @_elementwise("nonnegative")
@@ -107,7 +95,12 @@ def slope_kernel(t, p: float):
     Continuous extension 0 at t = 0; behaves like (4/3 - p) t^3 near zero and
     tends to 1/2 - pi/4 as t -> infinity when p > 1.
     """
-    return _slope_kernel(t, float(p))
+    p = float(p)
+    rows = (
+        (lambda t: t < _ATAN_SERIES_Y, lambda t: np.square(np.sinh(t)) * _slope_over_sinh2(t, p)),
+        (None, lambda t: _slope_closed(t, p)),
+    )
+    return _piecewise(t, rows)
 
 
 @_elementwise("nonnegative")
@@ -164,8 +157,13 @@ def log_gap(t, p: float):
 @_elementwise("positive")
 def log_gap_slope(t, p: float):
     """d/dt of log_gap = slope_kernel(t, p) / sinh^2(t), for t > 0."""
+    p = float(p)
+    rows = (
+        (lambda t: t < _ATAN_SERIES_Y, lambda t: _slope_over_sinh2(t, p)),
+        (None, lambda t: _slope_closed(t, p) / np.square(np.sinh(t))),
+    )
     with np.errstate(over="ignore"):
-        return _slope_kernel(t, float(p)) / np.square(np.sinh(t))
+        return _piecewise(t, rows)
 
 
 def log_gap_residual(a: float, b: float, p: float) -> float:

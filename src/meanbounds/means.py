@@ -37,11 +37,11 @@ import numpy as np
 
 from .numerics import (
     LOG2,
+    _GAUSS_KUMMER,
     _atan_sinh_ratio_m1,
     _atan_tanh_ratio_m1,
     _elementwise,
     _ellipe_agm,
-    _gauss_kummer_table,
     _horner,
     _logcosh,
     _logsinh,
@@ -66,10 +66,9 @@ PLAIN_TAGS = (
 PARAMETRIC_TAGS = ("power", "lehmer")
 
 # Toader: the Gauss-Kummer series below t = 0.3, where h = tanh^2 t < 0.085
-# and 13 terms leave out 1.5e-18 of S(h); the AGM above, where
-# t + log(2E/pi) cancels by a factor of at most 4.6.
+# and its 13 terms in _GAUSS_KUMMER leave out 1.5e-18 of S(h); the AGM
+# above, where t + log(2E/pi) cancels by a factor of at most 4.6.
 _TOADER_SERIES_T = 0.3
-_TOADER_SERIES_TERMS = 13
 
 # Below this |p| the power mean switches to its second-order expansion in p;
 # both branches agree to better than 1e-12 at the boundary.
@@ -190,7 +189,7 @@ def _lognorm_sandor_yang(t):
 def _toader_series(t):
     # log(cosh t (1 + h S(h))), with log cosh t = -log(1 - h)/2
     h = np.square(np.tanh(t))
-    series = h * _horner(_gauss_kummer_table(_TOADER_SERIES_TERMS), h)
+    series = h * _horner(_GAUSS_KUMMER, h)
     return np.log1p(series) - 0.5 * np.log1p(-h)
 
 

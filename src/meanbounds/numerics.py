@@ -1,9 +1,9 @@
 """Low-level numeric primitives shared by the mean and kernel evaluators.
 
 Everything here is overflow-safe binary64: log-of-hyperbolic helpers with
-large-argument branches, exact-rational Maclaurin tables for the ratio
-expansions that would otherwise cancel catastrophically near zero, the
-Gauss-Kummer coefficients of the Toader mean, and an AGM evaluation of the
+large-argument branches, the ratio arctan(y)/y - 1 at y = tanh x and
+y = sinh x, summed as its Taylor series in y below y = 0.1, where the direct
+quotient would cancel, the Gauss-Kummer coefficients of the Toader mean, and an AGM evaluation of the
 complete elliptic integral of the second kind.  It also holds the four
 helpers the package shares: the scalar/array boundary of its public
 functions, the branch table of every piecewise evaluator, Horner's rule and
@@ -14,17 +14,11 @@ from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
-from functools import lru_cache, reduce, wraps
+from functools import reduce, wraps
 
 import numpy as np
 
 LOG2 = math.log(2.0)
-
-# Number of t^2 terms kept by the small-argument Maclaurin branches. With a
-# switch radius of 0.1 the first dropped term is below 1e-26 of the total.
-_SERIES_TERMS = 14
-_SERIES_RADIUS = 0.1
 
 
 def _elementwise(domain=None, arrays=1, lead=0):
@@ -158,83 +152,22 @@ def atan_tanh(x):
     return np.arctan(np.tanh(x))
 
 
-# --- Maclaurin tables ------------------------------------------------------
-#
-# All coefficient tables are built from the exact rational series of cosh,
-# sinh and their reciprocals/quotients so there are no hand-typed constant
-# lists to mistype.  Index k holds the coefficient of t^(2k) (even series)
-# or t^(2k+1) (odd series).
+# arctan(y)/y - 1 = sum_{k>=1} (-1)^k y^(2k)/(2k+1).  Below y = 0.1 the nine
+# terms kept here leave out less than 2^-60 of the sum; above it the direct
+# quotient cancels by a factor of at most 300.
+_ATAN_SERIES_Y = 0.1
+_ATAN_SERIES = [(-1) ** k / (2 * k + 1) for k in range(1, 10)]
 
 
-@lru_cache(maxsize=None)
-def _cosh_coeffs(n):
-    return tuple(Fraction(1, math.factorial(2 * k)) for k in range(n))
+def _atan_series(y):
+    """(arctan(y)/y - 1)/y^2 for |y| < 0.1, by Horner's rule in y^2."""
+    return _horner(_ATAN_SERIES, np.square(y))
 
 
-@lru_cache(maxsize=None)
-def _sinh_coeffs(n):
-    return tuple(Fraction(1, math.factorial(2 * k + 1)) for k in range(n))
-
-
-def _series_quotient(num, den):
-    """Power-series coefficients of num/den, for den[0] == 1.
-
-    Solved as q_k = num_k - sum_{j=1..k} den_j q_{k-j}, in this order on floats.
-    """
-    q = []
-    for k in range(len(num)):
-        q.append(num[k] - sum(den[j] * q[k - j] for j in range(1, k + 1)))
-    return q
-
-
-@lru_cache(maxsize=None)
-def _sech_coeffs(n):
-    return tuple(_series_quotient((Fraction(1),) + (0,) * (n - 1), _cosh_coeffs(n)))
-
-
-@lru_cache(maxsize=None)
-def _tanh_coeffs(n):
-    # tanh = sinh / cosh, an odd series over an even one.
-    return tuple(_series_quotient(_sinh_coeffs(n), _cosh_coeffs(n)))
-
-
-@lru_cache(maxsize=None)
-def _atan_tanh_coeffs(n):
-    # d/dt arctan(tanh t) = 1/cosh(2t), so the t^(2k+1) coefficient is
-    # sech_k * 4^k / (2k+1).
-    s = _sech_coeffs(n)
-    return tuple(s[k] * Fraction(4**k, 2 * k + 1) for k in range(n))
-
-
-@lru_cache(maxsize=None)
-def _atan_sinh_coeffs(n):
-    # d/dt arctan(sinh t) = 1/cosh(t).
-    s = _sech_coeffs(n)
-    return tuple(s[k] / (2 * k + 1) for k in range(n))
-
-
-@lru_cache(maxsize=None)
-def _odd_ratio_table(num, den):
-    """x = t^2 coefficients of num(t)/den(t) - 1 for the odd series num, den."""
-    q = _series_quotient(num(_SERIES_TERMS), den(_SERIES_TERMS))
-    return np.array([float(v) for v in q[1:]])
-
-
-def _ratio_rows(num, den, direct):
-    """Rows of num(a)/den(a) - 1: the t^2 series below _SERIES_RADIUS."""
-
-    def series(a):
-        x = np.square(a)
-        return _horner(_odd_ratio_table(num, den), x) * x
-
-    return ((lambda a: a < _SERIES_RADIUS, series), (None, direct))
-
-
-_ATAN_TANH_RATIO_ROWS = _ratio_rows(
-    _atan_tanh_coeffs, _tanh_coeffs, lambda a: np.arctan(np.tanh(a)) / np.tanh(a) - 1.0
-)
-_ATAN_SINH_RATIO_ROWS = _ratio_rows(
-    _atan_sinh_coeffs, _sinh_coeffs, lambda a: np.arctan(np.sinh(a)) / np.sinh(a) - 1.0
+# rows of arctan(y)/y - 1 in y
+_ATAN_RATIO_ROWS = (
+    (lambda y: y < _ATAN_SERIES_Y, lambda y: _atan_series(y) * np.square(y)),
+    (None, lambda y: np.arctan(y) / y - 1.0),
 )
 
 
@@ -243,15 +176,16 @@ def atan_tanh_ratio_m1(x):
     """arctan(tanh x)/tanh(x) - 1, relative-accurate for all x >= 0.
 
     The direct quotient loses all its digits below x ~ 1e-8 (the ratio is
-    1 - 2x^2/3 + ...); the series branch keeps the t^2 leading term exact.
+    1 - x^2/3 + ...); below tanh x = 0.1 the arctan series in tanh x keeps
+    them.
     """
-    return _piecewise(x, _ATAN_TANH_RATIO_ROWS)
+    return _piecewise(np.tanh(x), _ATAN_RATIO_ROWS)
 
 
 @_elementwise()
 def atan_sinh_ratio_m1(x):
     """arctan(sinh x)/sinh(x) - 1, relative-accurate for all x >= 0."""
-    return _piecewise(x, _ATAN_SINH_RATIO_ROWS)
+    return _piecewise(np.sinh(x), _ATAN_RATIO_ROWS)
 
 
 _atan_tanh_ratio_m1 = atan_tanh_ratio_m1.__wrapped__
@@ -261,14 +195,13 @@ _atan_sinh_ratio_m1 = atan_sinh_ratio_m1.__wrapped__
 # --- elliptic integrals ---------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _gauss_kummer_table(n):
-    """binom(1/2, k)^2 for k = 1..n: the Toader mean of (e^-t, e^t) is
-    cosh(t) (1 + h S(h)) with h = tanh^2 t and these coefficients in S
-    (Gauss-Kummer; Linderholm & Segal, Math. Mag. 68, 1995)."""
-    return np.array(
-        [float(Fraction(math.comb(2 * k, k), 4**k * (2 * k - 1)) ** 2) for k in range(1, n + 1)]
-    )
+# binom(1/2, k)^2 for k = 1..13: the Toader mean of (e^-t, e^t) is
+# cosh(t) (1 + h S(h)) with h = tanh^2 t and these coefficients in S
+# (Gauss-Kummer; Linderholm & Segal, Math. Mag. 68, 1995).  Each is a dyadic
+# rational, and int / int rounds correctly, so each float is exact.
+_GAUSS_KUMMER = np.array(
+    [math.comb(2 * k, k) ** 2 / (4**k * (2 * k - 1)) ** 2 for k in range(1, 14)]
+)
 
 
 def _agm(m):

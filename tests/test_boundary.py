@@ -11,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 
+import meanbounds
 from meanbounds import (
     MeanKind,
     curvature_kernel,
@@ -63,11 +64,16 @@ def test_scalar_and_array_contract(name):
 
 
 # t = 0 and each branch cut with its neighbours one ulp away: the curvature
-# series (1e-3), the slope and ratio series (0.1), the Toader series (0.3),
-# logcosh (1 and 20) and the far form of curvature_kernel at p = 1.2 (350)
+# series (1e-3), the slope series (0.1), the ratio series (tanh t or sinh t
+# = 0.1), the Toader series (0.3), logcosh (1 and 20) and the far form of
+# curvature_kernel at p = 1.2 (350)
 CUTS = np.array(
     [0.0, 0.05, 3.0]
-    + [np.nextafter(c, d) for c in (1e-3, 0.1, 0.3, 1.0, 20.0, 350.0) for d in (0.0, c, math.inf)]
+    + [
+        np.nextafter(c, d)
+        for c in (1e-3, 0.1, math.atanh(0.1), math.asinh(0.1), 0.3, 1.0, 20.0, 350.0)
+        for d in (0.0, c, math.inf)
+    ]
 )
 
 KINDS = (
@@ -83,6 +89,9 @@ AT_CUTS = {
     "curvature_kernel": (lambda t: curvature_kernel(t, 1.2), True),
     "log_gap": (lambda t: log_gap(t, 1.2), True),
     "log_gap_slope": (lambda t: log_gap_slope(t, 1.2), False),
+    # |p| >= 2 takes another form of the slope series
+    "slope_kernel_p3": (lambda t: slope_kernel(t, 3.0), True),
+    "log_gap_slope_p3": (lambda t: log_gap_slope(t, 3.0), False),
     "logcosh": (logcosh, True),
     "logcosh_negative": (lambda t: logcosh(-t), True),
     "logsinh": (logsinh, False),
@@ -172,3 +181,46 @@ def test_gap_peak_stops_bisecting_at_a_fixed_point(monkeypatch):
     # the value of the full 120-step bisection
     assert solver.gap_peak(1.2) == float.fromhex("0x1.3b5cd900f0be6p+0")
     assert len(calls) <= 60
+
+
+def test_public_names_are_pinned():
+    # 36 names plus __version__; a new or lost public name fails here
+    assert sorted(meanbounds.__all__) == [
+        "CoefficientSeq",
+        "EndpointReport",
+        "MeanKind",
+        "SharpConstantTable",
+        "SharpConstants",
+        "__version__",
+        "best_exponent",
+        "chain_margins",
+        "chain_table",
+        "constants_table",
+        "curvature_coefficient",
+        "curvature_kernel",
+        "detect_sign_change",
+        "eval_mean",
+        "eval_mean_normalized",
+        "find_witness",
+        "gap_peak",
+        "growth_offset",
+        "half_log_ratio",
+        "literature_endpoints",
+        "log_gap",
+        "log_gap_residual",
+        "log_gap_slope",
+        "log_mean_normalized",
+        "parse_mean",
+        "peak_ratio",
+        "quadratic_coefficient",
+        "series_positive_root",
+        "sharp_constants",
+        "sharp_factor",
+        "sharp_lower_exponent",
+        "slope_kernel",
+        "squeeze_margins",
+        "toader_mean",
+        "verify_chain",
+        "verify_seiffert_lehmer",
+        "verify_squeeze",
+    ]

@@ -1,6 +1,7 @@
 """Slope/curvature kernels, their series coefficients, and the log-gap."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -55,6 +56,15 @@ def test_slope_small_t_cubic_coefficient():
     for p in P_GRID:
         t = 1e-4
         assert slope_kernel(t, p) / t**3 == pytest.approx(4.0 / 3.0 - p, abs=1e-7)
+
+
+def test_slope_small_t_at_large_exponents():
+    # below t = 0.1 the kernel must not grow with |p| t, up to and past cosh
+    # overflow at |p| t ~ 710
+    for p in (-1e4, -50.0, 50.0, 1e3, 1e4, 1e6):
+        for t in (1e-3, 0.05, 0.0999):
+            want = float(slope_oracle(t, p))
+            assert slope_kernel(t, p) == pytest.approx(want, rel=1e-13), (t, p)
 
 
 def test_slope_large_t_limit():
@@ -301,6 +311,16 @@ def test_log_gap_slope_matches_finite_differences():
             fd = (log_gap(t + h, p) - log_gap(t - h, p)) / (2 * h)
             slope = log_gap_slope(t, p)
             assert abs(fd - slope) <= 1e-6 * abs(slope) + 1e-9, (t, p)
+
+
+def test_log_gap_slope_at_tiny_t():
+    # d/dt log_gap ~ (4/3 - p) t, with no t^3 or sinh^2 t formed on the way
+    for p in (0.5, 1.2, 2.0):
+        for t in (1e-300, 1e-170, 1e-120, 1e-60):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = log_gap_slope(t, p)
+            assert got == pytest.approx((4.0 / 3.0 - p) * t, rel=1e-14), (t, p)
 
 
 def test_log_gap_slope_shares_sign_with_slope_kernel():

@@ -260,6 +260,11 @@ def test_chain_on_sample_pairs():
     # ratios past DBL_MAX, where the relative gap (hi - lo)/lo overflows
     for a, b in ((1e-200, 1e200), (5e-324, 1.0)):
         assert verify_chain(a, b) and verify_chain(b, a)
+    # t >= 512, where the scaled members' margins are rounding noise of an ulp of t
+    for a, b in ((1e-308, 1e308), (5e-324, 1.7e308)):
+        assert verify_chain(a, b) and verify_chain(b, a)
+    t = np.linspace(300.0, 709.0, 400)
+    assert verify_chain(np.exp(-t), np.exp(t))
     with pytest.raises(ValueError):
         verify_chain(2.0, 2.0)
     # arrays of pairs: one bool for all of them, and any equal pair is an error
