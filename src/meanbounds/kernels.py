@@ -154,12 +154,20 @@ def log_gap(t, p: float):
     return _lognorm_sandor_yang(t) - _lognorm_power(p, t)
 
 
+def _slope_over_sinh2_far(t, p: float):
+    """cosh((p-1)t) / (cosh(pt) sinh t) - atan_tanh(t) / sinh^2 t in logs, for t > 350."""
+    log_sinh = _logsinh(t)
+    core = np.exp(_logcosh((p - 1.0) * t) - _logcosh(p * t) - log_sinh)
+    return core - atan_tanh(t) * np.exp(-2.0 * log_sinh)
+
+
 @_elementwise("positive")
 def log_gap_slope(t, p: float):
     """d/dt of log_gap = slope_kernel(t, p) / sinh^2(t), for t > 0."""
     p = float(p)
     rows = (
         (lambda t: t < _ATAN_SERIES_Y, lambda t: _slope_over_sinh2(t, p)),
+        (lambda t: t > 350.0, lambda t: _slope_over_sinh2_far(t, p)),
         (None, lambda t: _slope_closed(t, p) / np.square(np.sinh(t))),
     )
     with np.errstate(over="ignore"):

@@ -22,9 +22,10 @@ turns each mean into a hyperbolic-function expression:
     sandor-yang    cosh^(1/2)(2t) exp(arctan(tanh t)/tanh(t) - 1)
     toader         (2/pi) * int_0^{pi/2} sqrt(e^{2t} sin^2 + e^{-2t} cos^2)
 
-The module also publishes the two analytic fingerprints of each normalized
-mean that pin sharp comparison endpoints: the t^2 coefficient of log m(t)
-at t -> 0 and the offset lim (log m(t) - t) at t -> infinity.
+Each mean is one table row: its evaluator of log m(t) and the two fingerprints
+that pin sharp endpoints, the t^2 coefficient of log m(t) at t -> 0 and the
+offset lim (log m(t) - t) at t -> infinity.  The harmonic, geometric,
+arithmetic and quadratic means are the power rows at p = -1, 0, 1 and 2.
 """
 
 from __future__ import annotations
@@ -46,24 +47,8 @@ from .numerics import (
     _logcosh,
     _logsinh,
     _piecewise,
+    _sinh_clipped,
 )
-
-PLAIN_TAGS = (
-    "harmonic",
-    "geometric",
-    "arithmetic",
-    "quadratic",
-    "log",
-    "identric",
-    "first-seiffert",
-    "second-seiffert",
-    "neuman-sandor",
-    "yang",
-    "sandor",
-    "toader",
-    "sandor-yang",
-)
-PARAMETRIC_TAGS = ("power", "lehmer")
 
 # Toader: the Gauss-Kummer series below t = 0.3, where h = tanh^2 t < 0.085
 # and its 13 terms in _GAUSS_KUMMER leave out 1.5e-18 of S(h); the AGM
@@ -174,12 +159,6 @@ def _lognorm_lehmer(p: float, t):
     return _logcosh((p + 1.0) * t) - _logcosh(p * t)
 
 
-# sinh overflows past ~710; its arctan is already pi/2 to machine precision
-# long before the clip point, so clipping is exact here.
-def _sinh_clipped(t):
-    return np.sinh(np.minimum(t, 300.0))
-
-
 def _lognorm_sandor_yang(t):
     # log cosh(2t)/2 split as log cosh(t) + log(1 + tanh^2 t)/2: every term is
     # relative-accurate, so the t^2 leading behaviour survives cancellation.
@@ -199,30 +178,84 @@ _TOADER_ROWS = (
 )
 
 
-_PLAIN_LOGNORM = {
-    "harmonic": lambda t: _lognorm_power(-1.0, t),
-    "geometric": lambda t: _lognorm_power(0.0, t),
-    "arithmetic": lambda t: _lognorm_power(1.0, t),
-    "quadratic": lambda t: _lognorm_power(2.0, t),
-    "log": lambda t: _logsinh(t) - np.log(t),
-    "identric": lambda t: t / np.tanh(t) - 1.0,
-    "first-seiffert": lambda t: _logsinh(t) - np.log(np.arctan(_sinh_clipped(t))),
-    "second-seiffert": lambda t: _logsinh(t) - np.log(np.arctan(np.tanh(t))),
-    "neuman-sandor": lambda t: _logsinh(t) - np.log(np.arcsinh(np.tanh(t))),
-    "yang": lambda t: _logsinh(t) + 0.5 * LOG2 - np.log(np.arctan(_SQRT2 * _sinh_clipped(t))),
-    "sandor": lambda t: _logcosh(t) + _atan_sinh_ratio_m1(t),
-    "toader": lambda t: _piecewise(t, _TOADER_ROWS),
-    "sandor-yang": _lognorm_sandor_yang,
+# --- one row per mean --------------------------------------------------------
+#
+# A plain mean's row is (evaluator of log m(t) for t > 0, c2, omega), where
+# log m(t) = c2 t^2 + O(t^4) as t -> 0 and omega = lim (log m(t) - t) as t -> inf,
+# -inf when the mean grows slower than e^t.  A family's row holds the same
+# three as functions of its parameter: evaluator(p, t), c2(p), omega(p).
+
+_FAMILIES = {
+    "power": (_lognorm_power, lambda p: p / 2.0, lambda p: -LOG2 / p if p > 0 else -math.inf),
+    "lehmer": (
+        _lognorm_lehmer,
+        lambda p: p + 0.5,
+        lambda p: 0.0 if p > 0 else (-LOG2 if p == 0 else -math.inf),
+    ),
 }
+
+
+def _member(family: str, p: float):
+    """The row of the family member with parameter p."""
+    lognorm, c2, omega = _FAMILIES[family]
+    return partial(lognorm, p), c2(p), omega(p)
+
+
+_PLAIN = {
+    "harmonic": _member("power", -1.0),
+    "geometric": _member("power", 0.0),
+    "arithmetic": _member("power", 1.0),
+    "quadratic": _member("power", 2.0),
+    "log": (lambda t: _logsinh(t) - np.log(t), 1.0 / 6.0, -math.inf),
+    "identric": (lambda t: t / np.tanh(t) - 1.0, 1.0 / 3.0, -1.0),
+    "first-seiffert": (
+        lambda t: _logsinh(t) - np.log(np.arctan(_sinh_clipped(t))),
+        1.0 / 3.0,
+        -math.log(math.pi),
+    ),
+    "second-seiffert": (
+        lambda t: _logsinh(t) - np.log(np.arctan(np.tanh(t))),
+        5.0 / 6.0,
+        LOG2 - math.log(math.pi),
+    ),
+    "neuman-sandor": (
+        lambda t: _logsinh(t) - np.log(np.arcsinh(np.tanh(t))),
+        2.0 / 3.0,
+        -math.log(2.0 * math.log(1.0 + math.sqrt(2.0))),
+    ),
+    "yang": (
+        lambda t: _logsinh(t) + 0.5 * LOG2 - np.log(np.arctan(_SQRT2 * _sinh_clipped(t))),
+        2.0 / 3.0,
+        0.5 * LOG2 - math.log(math.pi),
+    ),
+    "sandor": (lambda t: _logcosh(t) + _atan_sinh_ratio_m1(t), 1.0 / 6.0, -(1.0 + LOG2)),
+    "toader": (lambda t: _piecewise(t, _TOADER_ROWS), 3.0 / 4.0, LOG2 - math.log(math.pi)),
+    "sandor-yang": (_lognorm_sandor_yang, 2.0 / 3.0, math.pi / 4.0 - 1.0 - 0.5 * LOG2),
+}
+
+PLAIN_TAGS = tuple(_PLAIN)
+PARAMETRIC_TAGS = tuple(_FAMILIES)
 
 
 def _lognorm(kind: MeanKind):
     """The evaluator of log m(t) for t > 0."""
-    if kind.tag == "power":
-        return partial(_lognorm_power, kind.param)
-    if kind.tag == "lehmer":
-        return partial(_lognorm_lehmer, kind.param)
-    return _PLAIN_LOGNORM[kind.tag]
+    if kind.param is None:
+        return _PLAIN[kind.tag][0]
+    return partial(_FAMILIES[kind.tag][0], kind.param)
+
+
+def quadratic_coefficient(kind: MeanKind) -> float:
+    """c2 with log m(t) = c2 * t^2 + O(t^4) as t -> 0."""
+    if kind.param is None:
+        return _PLAIN[kind.tag][1]
+    return _FAMILIES[kind.tag][1](kind.param)
+
+
+def growth_offset(kind: MeanKind) -> float:
+    """lim_{t->inf} (log m(t) - t); -inf when the mean grows slower than e^t."""
+    if kind.param is None:
+        return _PLAIN[kind.tag][2]
+    return _FAMILIES[kind.tag][2](kind.param)
 
 
 @_elementwise("nonnegative", lead=1)
@@ -231,9 +264,10 @@ def log_mean_normalized(kind: MeanKind, t):
     return _piecewise(t, ((lambda t: t == 0.0, np.zeros_like), (None, _lognorm(kind))))
 
 
+@_elementwise("nonnegative", lead=1)
 def eval_mean_normalized(kind: MeanKind, t):
     """The mean on the normalized pair (e^-t, e^t); sqrt(ab) factored to 1."""
-    return np.exp(log_mean_normalized(kind, t))
+    return np.exp(log_mean_normalized.__wrapped__(kind, t))
 
 
 @_elementwise("positive", arrays=2, lead=1)
@@ -242,7 +276,9 @@ def eval_mean(kind: MeanKind, a, b):
 
     Equal arguments return a exactly (every supported mean is a mean value);
     otherwise the value is sqrt(ab) * exp(log m(t)), which is overflow-safe at
-    any argument ratio.  Power(+/-inf) returns max/min exactly.
+    any argument ratio: past t = log(DBL_MAX), where exp(log m) may overflow,
+    it is h * sqrt(ab) * h with h = exp(log m / 2).  Power(+/-inf) returns
+    max/min exactly.
     """
     if kind.tag == "power" and math.isinf(kind.param):
         return np.maximum(a, b) if kind.param > 0 else np.minimum(a, b)
@@ -253,8 +289,17 @@ def eval_mean(kind: MeanKind, a, b):
         # log m first, so that sqrt(ab) is not held while it is evaluated
         return np.exp(lognorm(t)) * (np.sqrt(a) * np.sqrt(b))
 
-    # the half log ratio is 0 exactly where a == b
-    rows = ((lambda t, a, b: t == 0.0, lambda t, a, b: a.copy()), (None, scaled))
+    def halved(t, a, b):
+        half = np.exp(0.5 * lognorm(t))
+        return half * (np.sqrt(a) * np.sqrt(b)) * half
+
+    # the half log ratio is 0 exactly where a == b; log m <= t, so exp(log m)
+    # is finite up to t = log(DBL_MAX) = 709.78
+    rows = (
+        (lambda t, a, b: t == 0.0, lambda t, a, b: a.copy()),
+        (lambda t, a, b: t > 709.78, halved),
+        (None, scaled),
+    )
     return _piecewise(_half_log_ratio(a, b), rows, a, b)
 
 
@@ -265,58 +310,3 @@ def toader_mean(a, b):
     evaluation of the complete elliptic integral at and beyond.
     """
     return eval_mean(MeanKind("toader"), a, b)
-
-
-# --- analytic endpoint fingerprints ----------------------------------------
-
-_QUAD_COEFF = {
-    "log": 1.0 / 6.0,
-    "identric": 1.0 / 3.0,
-    "first-seiffert": 1.0 / 3.0,
-    "second-seiffert": 5.0 / 6.0,
-    "neuman-sandor": 2.0 / 3.0,
-    "yang": 2.0 / 3.0,
-    "sandor": 1.0 / 6.0,
-    "toader": 3.0 / 4.0,
-    "sandor-yang": 2.0 / 3.0,
-    "harmonic": -0.5,
-    "geometric": 0.0,
-    "arithmetic": 0.5,
-    "quadratic": 1.0,
-}
-
-_GROWTH_OFFSET = {
-    "log": -math.inf,
-    "identric": -1.0,
-    "first-seiffert": -math.log(math.pi),
-    "second-seiffert": LOG2 - math.log(math.pi),
-    "neuman-sandor": -math.log(2.0 * math.log(1.0 + math.sqrt(2.0))),
-    "yang": 0.5 * LOG2 - math.log(math.pi),
-    "sandor": -(1.0 + LOG2),
-    "toader": LOG2 - math.log(math.pi),
-    "sandor-yang": math.pi / 4.0 - 1.0 - 0.5 * LOG2,
-    "harmonic": -math.inf,
-    "geometric": -math.inf,
-    "arithmetic": -LOG2,
-    "quadratic": -0.5 * LOG2,
-}
-
-
-def quadratic_coefficient(kind: MeanKind) -> float:
-    """c2 with log m(t) = c2 * t^2 + O(t^4) as t -> 0."""
-    if kind.tag == "power":
-        return kind.param / 2.0
-    if kind.tag == "lehmer":
-        return kind.param + 0.5
-    return _QUAD_COEFF[kind.tag]
-
-
-def growth_offset(kind: MeanKind) -> float:
-    """lim_{t->inf} (log m(t) - t); -inf when the mean grows slower than e^t."""
-    if kind.tag == "power":
-        return -LOG2 / kind.param if kind.param > 0 else -math.inf
-    if kind.tag == "lehmer":
-        if kind.param > 0:
-            return 0.0
-        return -LOG2 if kind.param == 0 else -math.inf
-    return _GROWTH_OFFSET[kind.tag]

@@ -98,12 +98,12 @@ def _horner(coeffs, x):
     return acc
 
 
-def _bisect(goes_right, lo, hi, steps, rel_width=0.0):
+def _bisect(goes_right, lo, hi, steps):
     """Midpoint of [lo, hi] after bisecting towards the switch of goes_right.
 
     goes_right(x) is True left of the switch point and False right of it.
-    Stops after `steps` halvings, once hi - lo <= rel_width * hi, or once
-    the midpoint rounds to an end, where every further step returns it.
+    Stops after `steps` halvings, or once the midpoint rounds to an end,
+    where every further step returns it.
     """
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
@@ -113,8 +113,6 @@ def _bisect(goes_right, lo, hi, steps, rel_width=0.0):
             lo = mid
         else:
             hi = mid
-        if hi - lo <= rel_width * hi:
-            break
     return 0.5 * (lo + hi)
 
 
@@ -145,6 +143,12 @@ def logsinh(x):
 
 # the undecorated functions, for callers already past the boundary
 _logcosh, _logsinh = logcosh.__wrapped__, logsinh.__wrapped__
+
+
+# sinh overflows past ~710; arctan(sinh) is pi/2 and arctan(sinh)/sinh - 1 is
+# -1.0 to machine precision long before the clip point, so clipping is exact.
+def _sinh_clipped(x):
+    return np.sinh(np.minimum(x, 300.0))
 
 
 def atan_tanh(x):
@@ -185,7 +189,7 @@ def atan_tanh_ratio_m1(x):
 @_elementwise()
 def atan_sinh_ratio_m1(x):
     """arctan(sinh x)/sinh(x) - 1, relative-accurate for all x >= 0."""
-    return _piecewise(np.sinh(x), _ATAN_RATIO_ROWS)
+    return _piecewise(_sinh_clipped(x), _ATAN_RATIO_ROWS)
 
 
 _atan_tanh_ratio_m1 = atan_tanh_ratio_m1.__wrapped__

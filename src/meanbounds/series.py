@@ -19,7 +19,6 @@ import numpy as np
 
 from .numerics import _bisect, _horner
 
-_REL_WIDTH = 1e-14
 _MAX_ITER = 200
 
 
@@ -70,9 +69,10 @@ class CoefficientSeq:
 def series_positive_root(seq: CoefficientSeq, radius: float) -> float:
     """The unique positive root of the truncated series inside (0, radius].
 
-    Brackets by geometric expansion from radius * 1e-6, then bisects to
-    relative width 1e-14.  Raises if the series never goes negative before
-    the radius (the crossing would lie outside the trusted truncation zone).
+    Brackets by geometric expansion from radius * 1e-6, then bisects until
+    the midpoint rounds to an end of the bracket: the root to the last bit.
+    Raises if the series never goes negative before the radius (the crossing
+    would lie outside the trusted truncation zone).
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -87,4 +87,4 @@ def series_positive_root(seq: CoefficientSeq, radius: float) -> float:
                 raise ValueError("no sign change of the series within radius")
             hi = radius
             break
-    return _bisect(lambda x: seq(x) > 0, hi / 2.0, hi, _MAX_ITER, _REL_WIDTH)
+    return _bisect(lambda x: seq(x) > 0, hi / 2.0, hi, _MAX_ITER)

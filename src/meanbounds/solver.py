@@ -25,6 +25,7 @@ import numpy as np
 from .kernels import log_gap, slope_kernel
 from .means import (
     LOG2,
+    PARAMETRIC_TAGS,
     MeanKind,
     growth_offset,
     half_log_ratio,
@@ -48,7 +49,7 @@ ENDPOINT_TOLERANCE = 1e-3
 
 UPPER_EXPONENT = 4.0 / 3.0
 
-FAMILIES = ("power", "lehmer")
+FAMILIES = PARAMETRIC_TAGS
 SIDES = ("lower", "upper")
 
 
@@ -107,21 +108,17 @@ def _mean_log_on_grid(kind: MeanKind) -> np.ndarray:
 
 
 def _family_kind(family: str, p: float) -> MeanKind:
-    if family == "power":
-        return MeanKind.power(p)
-    if family == "lehmer":
-        return MeanKind.lehmer(p)
-    raise ValueError(f"unknown mean family '{family}'")
+    if family not in FAMILIES:
+        raise ValueError(f"unknown mean family '{family}'")
+    return MeanKind(family, p)
 
 
 def _bound_predicate(kind: MeanKind, family: str, side: str) -> Callable[[float], bool]:
     """True iff the family member with parameter p bounds `kind` on the given side."""
     if side not in SIDES:
         raise ValueError(f"unknown side '{side}'")
-    mean_log = _mean_log_on_grid(kind)
     mean_c2 = quadratic_coefficient(kind)
     mean_om = growth_offset(kind)
-    grid = _grid()
     sign = 1.0 if side == "lower" else -1.0
 
     def predicate(p: float) -> bool:
@@ -130,8 +127,7 @@ def _bound_predicate(kind: MeanKind, family: str, side: str) -> Callable[[float]
             return False
         if sign * (growth_offset(fam) - mean_om) > _LIMIT_SLACK:
             return False
-        fam_log = log_mean_normalized(fam, grid)
-        return bool(np.all(sign * (fam_log - mean_log) <= TIE))
+        return find_witness(kind, family, p, side) is None
 
     return predicate
 

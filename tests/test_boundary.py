@@ -16,6 +16,7 @@ from meanbounds import (
     MeanKind,
     curvature_kernel,
     eval_mean,
+    eval_mean_normalized,
     half_log_ratio,
     log_gap,
     log_gap_slope,
@@ -41,6 +42,7 @@ FUNCTIONS = {
     "eval_mean": lambda x: eval_mean(MeanKind("sandor-yang"), x, 2.5),
     # the series below t = 0.3 (x = 3) and the AGM above
     "eval_mean_toader": lambda x: eval_mean(MeanKind("toader"), x, 2.5),
+    "eval_mean_normalized": lambda x: eval_mean_normalized(MeanKind("yang"), x),
     "half_log_ratio": lambda x: half_log_ratio(x, 1.0),
     "log_mean_normalized": lambda x: log_mean_normalized(MeanKind("log"), x),
     "slope_kernel": lambda x: slope_kernel(x, 1.2),
@@ -166,6 +168,7 @@ def test_a_scalar_call_enters_the_boundary_once(t):
     for kind in KINDS:
         assert _boundary_entries(lambda: eval_mean(kind, 0.3, 0.3 * math.exp(2.0 * t))) == 1
         assert _boundary_entries(lambda: log_mean_normalized(kind, t)) == 1
+        assert _boundary_entries(lambda: eval_mean_normalized(kind, t)) == 1
     for fn in (slope_kernel, curvature_kernel, log_gap, log_gap_slope):
         assert _boundary_entries(lambda: fn(t, 1.2)) == 1
 

@@ -284,6 +284,47 @@ max,max(a,b),3
         assert run(capsys, *argv) == (0, out, ""), argv
 
 
+
+def test_endpoint_and_constants_stdout_is_pinned(capsys):
+    # (mean, family, side): the CSV row after the header; every row exits 0
+    endpoints = {
+        ("log", "power", "lower"): "0,8.67361737988404e-18,8.67361737988404e-18",
+        ("log", "power", "upper"): "0.333333333333333,0.333333331333333,-1.99999999894729e-09",
+        ("identric", "power", "lower"): "0.666666666666667,0.666666668666667,2.00000005445844e-09",
+        ("identric", "power", "upper"): "0.693147180559945,0.693147180559879,-6.60582699651968e-14",
+        ("first-seiffert", "power", "lower"): "0.60551156139828,0.605511561398331,5.11812814352197e-14",
+        ("first-seiffert", "power", "upper"): "0.666666666666667,0.666666664666667,-2.00000005445844e-09",
+        ("second-seiffert", "power", "lower"): "1.53492853566138,1.5349285356617,3.29070104498896e-13",
+        ("second-seiffert", "power", "upper"): "1.66666666666667,1.66666666466667,-1.99999994343614e-09",
+        ("toader", "power", "lower"): "1.5,1.500000002,2.00000016548074e-09",
+        ("toader", "power", "upper"): "1.53492853566138,1.53492853566105,-3.25961480029946e-13",
+        ("neuman-sandor", "power", "lower"): "1.22275463064469,1.2227546306449,2.08721928629529e-13",
+        ("neuman-sandor", "power", "upper"): "1.33333333333333,1.33333333133333,-1.99999994343614e-09",
+        ("yang", "power", "lower"): "0.868435398439643,0.868435398439749,1.06137321154165e-13",
+        ("yang", "power", "upper"): "1.33333333333333,1.33333333133333,-1.99999994343614e-09",
+        ("sandor", "power", "lower"): "0.333333333333333,0.333333335333333,1.99999999894729e-09",
+        ("sandor", "power", "upper"): "0.409383890850359,0.409383890850333,-2.53685961126848e-14",
+        ("sandor-yang", "power", "lower"): "1.2351702290504,1.23517022905062,2.1627144519698e-13",
+        ("sandor-yang", "power", "upper"): "1.33333333333333,1.33333333133333,-1.99999994343614e-09",
+        ("second-seiffert", "lehmer", "lower"): "0,8.67361737988404e-18,8.67361737988404e-18",
+        ("second-seiffert", "lehmer", "upper"): "0.333333333333333,0.333333332333333,-1.00000002722922e-09",
+    }
+    for (mean, family, side), row in endpoints.items():
+        argv = ("endpoint", "--mean", mean, "--family", family, "--side", side)
+        assert run(capsys, *argv) == (0, f"closed_form,numeric,difference\n{row}\n", ""), argv
+    constants = """label,expression,value
+p0,4*log(2)/(4 + 2*log(2) - pi),1.2351702290504
+lambda_inf,exp(pi/4 - 1)/sqrt(2),0.570538043804383
+lambda_2,exp(pi/4 - 1),0.806862639397974
+lambda_3_2,2^(1/6)*exp(pi/4 - 1),0.905672690922957
+lambda_4_3,2^(1/4)*exp(pi/4 - 1),0.959526791601945
+peak_ratio_p0,exp(log_gap(gap_peak(p0), p0)),1.01274412866233
+two_over_pi,2/pi,0.636619772367581
+four_over_pi,4/pi,1.27323954473516
+two_pow_8_5_over_pi,2^(8/5)/pi,0.964935135545622
+"""
+    assert run(capsys, "table", "--which", "constants") == (0, constants, "")
+
 # --- wiring -----------------------------------------------------------------
 
 

@@ -4,6 +4,7 @@ import math
 import warnings
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -321,6 +322,17 @@ def test_log_gap_slope_at_tiny_t():
                 warnings.simplefilter("error")
                 got = log_gap_slope(t, p)
             assert got == pytest.approx((4.0 / 3.0 - p) * t, rel=1e-14), (t, p)
+
+
+def test_log_gap_slope_past_sinh_overflow():
+    # slope_kernel and sinh^2 t overflow here; the quotient is taken in logs
+    for t, p in ((360.0, -2.0), (2000.0, -2.0), (360.0, 0.9)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = log_gap_slope(t, p)
+        with mp.workdps(60 + int(t)):
+            want = slope_oracle(t, p) / mp.sinh(t) ** 2
+        assert abs(got - want) <= 1e-12 * abs(want), (t, p, got)
 
 
 def test_log_gap_slope_shares_sign_with_slope_kernel():

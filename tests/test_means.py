@@ -167,6 +167,9 @@ def test_power_special_cases_alias_plain_means():
         assert eval_mean(MeanKind.power(1), a, b) == eval_mean(MeanKind("arithmetic"), a, b)
         assert eval_mean(MeanKind.power(2), a, b) == eval_mean(MeanKind("quadratic"), a, b)
         assert eval_mean(MeanKind.lehmer(0), a, b) == eval_mean(MeanKind("arithmetic"), a, b)
+    for tag, p in (("harmonic", -1), ("geometric", 0), ("arithmetic", 1), ("quadratic", 2)):
+        assert quadratic_coefficient(MeanKind(tag)) == quadratic_coefficient(MeanKind.power(p))
+        assert growth_offset(MeanKind(tag)) == growth_offset(MeanKind.power(p))
 
 
 def test_power_infinite_exponents_hit_the_envelope():
@@ -334,7 +337,7 @@ def test_half_log_ratio_values_and_errors():
             half_log_ratio(*bad)
 
 
-EXTREME_PAIRS = ((1e-200, 1e200), (5e-324, 1.0), (1e-308, 1e308))
+EXTREME_PAIRS = ((1e-200, 1e200), (5e-324, 1.0), (1e-308, 1e308), (5e-324, 1.7e308))
 
 
 def test_extreme_pairs_match_the_oracle():

@@ -61,11 +61,10 @@ def test_sequence_wrapper_and_evaluation():
 
 def test_root_of_linear_and_quadratic_prototypes():
     seq = CoefficientSeq.from_coeffs((1.0, -1.0))
-    assert series_positive_root(seq, radius=10.0) == pytest.approx(1.0, rel=1e-12)
+    assert series_positive_root(seq, radius=10.0) == 1.0
     golden = CoefficientSeq.from_coeffs((1.0, 1.0, -1.0))
-    assert series_positive_root(golden, radius=10.0) == pytest.approx(
-        (1.0 + math.sqrt(5.0)) / 2.0, rel=1e-12
-    )
+    phi = (1.0 + math.sqrt(5.0)) / 2.0
+    assert abs(series_positive_root(golden, radius=10.0) - phi) <= math.ulp(phi)
 
 
 def test_root_brackets_a_true_sign_change():
