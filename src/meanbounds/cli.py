@@ -49,11 +49,12 @@ def _cmd_eval(args) -> int:
 def _cmd_endpoint(args) -> int:
     try:
         kind = parse_mean(args.mean)
-        report = solver.best_exponent(kind, args.family, args.side)
     except ValueError as exc:
         return _fail_usage(str(exc))
-    if report.closed_form is None:
+    # uncatalogued pairs may have no endpoint in the search window: never solve them
+    if solver._closed_form(kind, args.family, args.side) is None:
         return _fail_usage(f"no closed form catalogued for {args.mean}/{args.family}")
+    report = solver.best_exponent(kind, args.family, args.side)
     diff = report.numeric - report.closed_form
     print("closed_form,numeric,difference")
     print(f"{_fmt(report.closed_form)},{_fmt(report.numeric)},{_fmt(diff)}")
@@ -118,6 +119,8 @@ def _cmd_verify(args) -> int:
         print("pass" if ok else "FAIL")
         return 0 if ok else 1
 
+    if args.pairs < 1:
+        return _fail_usage("need --pairs >= 1")
     rng = np.random.default_rng(args.seed)
     # t log-uniform on [5e-11, 13.8]; the pair (1, e^{2t}) has half log ratio t
     ok = check(1.0, np.exp(2.0 * 10.0 ** rng.uniform(-10.3, math.log10(13.8), args.pairs)))

@@ -5,8 +5,9 @@ library fails, when it fails, either at t -> 0+ (where log-mean differences
 behave like (c2_family - c2_mean) t^2) or at t -> infinity (where they tend
 to the difference of growth offsets).  The universal quantifier over t is
 therefore implemented as a dense log grid on [1e-6, 50] plus those two
-analytic limit checks; bisection over the parameter then recovers sharp
-endpoints to well below ENDPOINT_TOLERANCE (1e-3).
+analytic limit checks.  A sharp endpoint is where the two limit checks
+switch, found by bisection over the parameter and confirmed by one grid
+check; bisecting the full predicate (limits and grid) is the fallback.
 
 The module also carries the closed-form endpoint catalog used as
 cross-check targets, the sharp multiplicative factors for the sandor-yang
@@ -86,6 +87,7 @@ class EndpointReport:
     side: str
     closed_form: Optional[float]
     numeric: float
+    decided_by: str  # "limits": the c2/omega switch point, confirmed by the grid; else "grid"
 
 
 @dataclass(frozen=True)
@@ -113,43 +115,56 @@ def _family_kind(family: str, p: float) -> MeanKind:
     return MeanKind(family, p)
 
 
-def _bound_predicate(kind: MeanKind, family: str, side: str) -> Callable[[float], bool]:
-    """True iff the family member with parameter p bounds `kind` on the given side."""
+def _limits_check(kind: MeanKind, family: str, side: str, slack: float) -> Callable[[float], bool]:
+    """True iff c2 and omega of family member p admit it; -inf - -inf is NaN, which holds."""
     if side not in SIDES:
         raise ValueError(f"unknown side '{side}'")
     mean_c2 = quadratic_coefficient(kind)
     mean_om = growth_offset(kind)
     sign = 1.0 if side == "lower" else -1.0
 
-    def predicate(p: float) -> bool:
+    def holds(p: float) -> bool:
         fam = _family_kind(family, p)
-        if sign * (quadratic_coefficient(fam) - mean_c2) > _LIMIT_SLACK:
+        if sign * (quadratic_coefficient(fam) - mean_c2) > slack:
             return False
-        if sign * (growth_offset(fam) - mean_om) > _LIMIT_SLACK:
-            return False
-        return find_witness(kind, family, p, side) is None
+        return not sign * (growth_offset(fam) - mean_om) > slack
 
-    return predicate
+    return holds
+
+
+def _bound_predicate(kind: MeanKind, family: str, side: str) -> Callable[[float], bool]:
+    """True iff the family member with parameter p bounds `kind` on the given side."""
+    limits = _limits_check(kind, family, side, _LIMIT_SLACK)
+    return lambda p: limits(p) and find_witness(kind, family, p, side) is None
 
 
 def best_exponent(kind: MeanKind, family: str, side: str) -> EndpointReport:
-    """Sharp family parameter for bounding `kind`, by predicate bisection.
+    """Sharp family parameter for bounding `kind`, searched on [-10, 10].
 
     The lower side returns the supremum of admissible lower-bound parameters,
-    the upper side the infimum of admissible upper-bound parameters, searched
-    on [-10, 10] with 60 bisection steps.
+    the upper side the infimum of admissible upper-bound parameters.  The
+    main path bisects the c2 and omega checks alone, with no slack, and
+    confirms their switch point with one grid check: the families increase
+    in p, so a bound holding there holds short of it, and past it a limit
+    fails.  Otherwise (no switch in the window, or a witness at it) the
+    fallback bisects the full predicate: limits with _LIMIT_SLACK, then grid.
     """
-    predicate = _bound_predicate(kind, family, side)
     lo, hi = -10.0, 10.0
-    hold_at, fail_at = (lo, hi) if side == "lower" else (hi, lo)
+    lower = side == "lower"
+    hold_at, fail_at = (lo, hi) if lower else (hi, lo)
+    limits = _limits_check(kind, family, side, 0.0)
+    closed = _closed_form(kind, family, side)
+    if limits(hold_at) and not limits(fail_at):
+        numeric = _bisect(lambda p: limits(p) == lower, lo, hi, 60)
+        if find_witness(kind, family, numeric, side) is None:
+            return EndpointReport(kind, family, side, closed, numeric, "limits")
+    predicate = _bound_predicate(kind, family, side)
     if not predicate(hold_at):
         raise RuntimeError("predicate never holds within search window [-10, 10]")
     if predicate(fail_at):
         raise RuntimeError("predicate always holds within search window [-10, 10]")
-    lower = side == "lower"
     numeric = _bisect(lambda p: predicate(p) == lower, lo, hi, 60)
-    closed = _closed_form(kind, family, side)
-    return EndpointReport(kind, family, side, closed, numeric)
+    return EndpointReport(kind, family, side, closed, numeric, "grid")
 
 
 def find_witness(kind: MeanKind, family: str, param: float, side: str) -> Optional[float]:

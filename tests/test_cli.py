@@ -77,6 +77,16 @@ def test_endpoint_without_catalogued_form_is_a_usage_error(capsys):
     assert "no closed form" in err
 
 
+def test_endpoint_without_catalogued_form_is_not_solved(capsys):
+    # none of these has an endpoint in the search window
+    for mean in ("power:12", "lehmer:0.3", "power:inf"):
+        code, out, err = run(
+            capsys, "endpoint", "--mean", mean, "--family", "power", "--side", "upper"
+        )
+        assert (code, out) == (2, ""), mean
+        assert err == f"error: no closed form catalogued for {mean}/power\n"
+
+
 def test_endpoint_rejects_unknown_family(capsys):
     with pytest.raises(SystemExit) as exc:
         run(capsys, "endpoint", "--mean", "log", "--family", "stolarsky", "--side", "lower")
@@ -256,9 +266,11 @@ def test_verify_pair_usage_errors(capsys):
         ("verify", "--which", "chain", "--a", "1"),
         ("verify", "--which", "chain", "--a", "1", "--b", "1"),
         ("verify", "--which", "squeeze", "--a", "-1", "--b", "2"),
+        ("verify", "--which", "chain", "--pairs", "0"),
+        ("verify", "--which", "squeeze", "--pairs", "-1"),
     ):
-        code, _, err = run(capsys, *argv)
-        assert code == 2, argv
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
         assert err.startswith("error:")
 
 
@@ -289,25 +301,25 @@ def test_endpoint_and_constants_stdout_is_pinned(capsys):
     # (mean, family, side): the CSV row after the header; every row exits 0
     endpoints = {
         ("log", "power", "lower"): "0,8.67361737988404e-18,8.67361737988404e-18",
-        ("log", "power", "upper"): "0.333333333333333,0.333333331333333,-1.99999999894729e-09",
-        ("identric", "power", "lower"): "0.666666666666667,0.666666668666667,2.00000005445844e-09",
-        ("identric", "power", "upper"): "0.693147180559945,0.693147180559879,-6.60582699651968e-14",
-        ("first-seiffert", "power", "lower"): "0.60551156139828,0.605511561398331,5.11812814352197e-14",
-        ("first-seiffert", "power", "upper"): "0.666666666666667,0.666666664666667,-2.00000005445844e-09",
-        ("second-seiffert", "power", "lower"): "1.53492853566138,1.5349285356617,3.29070104498896e-13",
-        ("second-seiffert", "power", "upper"): "1.66666666666667,1.66666666466667,-1.99999994343614e-09",
-        ("toader", "power", "lower"): "1.5,1.500000002,2.00000016548074e-09",
-        ("toader", "power", "upper"): "1.53492853566138,1.53492853566105,-3.25961480029946e-13",
-        ("neuman-sandor", "power", "lower"): "1.22275463064469,1.2227546306449,2.08721928629529e-13",
-        ("neuman-sandor", "power", "upper"): "1.33333333333333,1.33333333133333,-1.99999994343614e-09",
-        ("yang", "power", "lower"): "0.868435398439643,0.868435398439749,1.06137321154165e-13",
-        ("yang", "power", "upper"): "1.33333333333333,1.33333333133333,-1.99999994343614e-09",
-        ("sandor", "power", "lower"): "0.333333333333333,0.333333335333333,1.99999999894729e-09",
-        ("sandor", "power", "upper"): "0.409383890850359,0.409383890850333,-2.53685961126848e-14",
-        ("sandor-yang", "power", "lower"): "1.2351702290504,1.23517022905062,2.1627144519698e-13",
-        ("sandor-yang", "power", "upper"): "1.33333333333333,1.33333333133333,-1.99999994343614e-09",
+        ("log", "power", "upper"): "0.333333333333333,0.333333333333333,-5.55111512312578e-17",
+        ("identric", "power", "lower"): "0.666666666666667,0.666666666666667,1.11022302462516e-16",
+        ("identric", "power", "upper"): "0.693147180559945,0.693147180559945,-1.11022302462516e-16",
+        ("first-seiffert", "power", "lower"): "0.60551156139828,0.60551156139828,1.11022302462516e-16",
+        ("first-seiffert", "power", "upper"): "0.666666666666667,0.666666666666667,-1.11022302462516e-16",
+        ("second-seiffert", "power", "lower"): "1.53492853566138,1.53492853566138,0",
+        ("second-seiffert", "power", "upper"): "1.66666666666667,1.66666666666667,-2.22044604925031e-16",
+        ("toader", "power", "lower"): "1.5,1.5,0",
+        ("toader", "power", "upper"): "1.53492853566138,1.53492853566138,0",
+        ("neuman-sandor", "power", "lower"): "1.22275463064469,1.22275463064469,0",
+        ("neuman-sandor", "power", "upper"): "1.33333333333333,1.33333333333333,-2.22044604925031e-16",
+        ("yang", "power", "lower"): "0.868435398439643,0.868435398439643,0",
+        ("yang", "power", "upper"): "1.33333333333333,1.33333333333333,-2.22044604925031e-16",
+        ("sandor", "power", "lower"): "0.333333333333333,0.333333333333333,5.55111512312578e-17",
+        ("sandor", "power", "upper"): "0.409383890850359,0.409383890850359,-5.55111512312578e-17",
+        ("sandor-yang", "power", "lower"): "1.2351702290504,1.2351702290504,4.44089209850063e-16",
+        ("sandor-yang", "power", "upper"): "1.33333333333333,1.33333333333333,-2.22044604925031e-16",
         ("second-seiffert", "lehmer", "lower"): "0,8.67361737988404e-18,8.67361737988404e-18",
-        ("second-seiffert", "lehmer", "upper"): "0.333333333333333,0.333333332333333,-1.00000002722922e-09",
+        ("second-seiffert", "lehmer", "upper"): "0.333333333333333,0.333333333333333,5.55111512312578e-17",
     }
     for (mean, family, side), row in endpoints.items():
         argv = ("endpoint", "--mean", mean, "--family", family, "--side", side)

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from meanbounds import solver
 from meanbounds import (
     MeanKind,
     best_exponent,
@@ -160,22 +161,28 @@ def test_factor_bound_below_the_unit_exponent():
 # --- endpoint recovery ---------------------------------------------------------
 
 
+def assert_sharp(numeric, closed):
+    # 60 halvings of [-10, 10] leave a zero endpoint at 20 / 2^61
+    tol = 4 * math.ulp(closed) if closed else 20.0 / 2**61
+    assert abs(numeric - closed) <= tol, (numeric, closed)
+
+
 def test_sandor_yang_power_endpoints():
     lower = best_exponent(MeanKind("sandor-yang"), "power", "lower")
     assert lower.closed_form == pytest.approx(P0, rel=1e-15)
-    assert lower.numeric == pytest.approx(P0, abs=1e-8)
+    assert_sharp(lower.numeric, P0)
     upper = best_exponent(MeanKind("sandor-yang"), "power", "upper")
     assert upper.closed_form == pytest.approx(4.0 / 3.0, rel=1e-15)
-    assert upper.numeric == pytest.approx(4.0 / 3.0, abs=1e-7)
+    assert_sharp(upper.numeric, 4.0 / 3.0)
 
 
 def test_second_seiffert_lehmer_endpoints():
     lower = best_exponent(MeanKind("second-seiffert"), "lehmer", "lower")
     assert lower.closed_form == 0.0
-    assert lower.numeric == pytest.approx(0.0, abs=1e-8)
+    assert_sharp(lower.numeric, 0.0)
     upper = best_exponent(MeanKind("second-seiffert"), "lehmer", "upper")
     assert upper.closed_form == pytest.approx(1.0 / 3.0, rel=1e-15)
-    assert upper.numeric == pytest.approx(1.0 / 3.0, abs=1e-8)
+    assert_sharp(upper.numeric, 1.0 / 3.0)
 
 
 def test_literature_catalog_is_recovered():
@@ -183,10 +190,48 @@ def test_literature_catalog_is_recovered():
     assert len(reports) == 16
     for report in reports:
         assert report.closed_form is not None
-        assert report.numeric == pytest.approx(report.closed_form, abs=1e-6), (
-            report.mean.label(),
-            report.side,
-        )
+        assert_sharp(report.numeric, report.closed_form)
+
+
+def test_catalog_endpoints_are_exact():
+    for (tag, family), forms in _CLOSED_FORMS.items():
+        for side, form in zip(("lower", "upper"), forms):
+            report = best_exponent(MeanKind(tag), family, side)
+            assert report.decided_by == "limits", (tag, family, side)
+            closed = form()
+            if closed:
+                assert_sharp(report.numeric, closed)
+            else:  # 60 halvings of [-10, 10] towards a switch at p = 0
+                assert report.numeric == 8.673617379884035e-18, (tag, family, side)
+
+
+def test_literature_endpoints_make_one_grid_check_each(monkeypatch):
+    calls = []
+    witness = solver.find_witness
+
+    def counted(*args):
+        calls.append(args)
+        return witness(*args)
+
+    monkeypatch.setattr(solver, "find_witness", counted)
+    literature_endpoints()
+    assert len(calls) == 16
+
+
+def test_best_exponent_falls_back_to_predicate_bisection(monkeypatch):
+    # a witness at the limits' switch point sends the search to the predicate
+    calls = []
+    witness = solver.find_witness
+
+    def first_reports_a_witness(*args):
+        calls.append(args)
+        return 1.0 if len(calls) == 1 else witness(*args)
+
+    monkeypatch.setattr(solver, "find_witness", first_reports_a_witness)
+    report = best_exponent(MeanKind("log"), "power", "upper")
+    assert report.decided_by == "grid"
+    assert report.numeric == 0.3333333313333333  # the predicate bisection's value
+    assert len(calls) > 30
 
 
 def test_endpoint_report_fields():
