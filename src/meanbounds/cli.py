@@ -1,6 +1,7 @@
 """Command-line surface: evaluation, verification, endpoints, witnesses, tables.
 
-Exit codes: 0 success/verified, 1 verification failed, 2 usage error.
+Exit codes: 0 success/verified, 1 verification failed, 2 usage error.  A
+usage error prints one `error:` line on stderr and nothing on stdout.
 All numeric output is printed with 15 significant digits, '.' decimal
 separator, comma-separated CSV with a header row and LF line endings.
 """
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import solver
 from .kernels import curvature_kernel, log_gap, slope_kernel
-from .means import MeanKind, eval_mean, parse_mean
+from .means import eval_mean, parse_mean
 
 _TRACEABLE = {
     "log-gap": log_gap,
@@ -31,29 +32,16 @@ def _fmt(x: float) -> str:
     return f"{x:.15g}"
 
 
-def _fail_usage(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
-
-
 def _cmd_eval(args) -> int:
-    try:
-        kind = parse_mean(args.mean)
-        value = eval_mean(kind, args.a, args.b)
-    except ValueError as exc:
-        return _fail_usage(str(exc))
-    print(_fmt(value))
+    print(_fmt(eval_mean(parse_mean(args.mean), args.a, args.b)))
     return 0
 
 
 def _cmd_endpoint(args) -> int:
-    try:
-        kind = parse_mean(args.mean)
-    except ValueError as exc:
-        return _fail_usage(str(exc))
+    kind = parse_mean(args.mean)
     # uncatalogued pairs may have no endpoint in the search window: never solve them
     if solver._closed_form(kind, args.family, args.side) is None:
-        return _fail_usage(f"no closed form catalogued for {args.mean}/{args.family}")
+        raise ValueError(f"no closed form catalogued for {args.mean}/{args.family}")
     report = solver.best_exponent(kind, args.family, args.side)
     diff = report.numeric - report.closed_form
     print("closed_form,numeric,difference")
@@ -62,42 +50,25 @@ def _cmd_endpoint(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    try:
-        kind = parse_mean(args.mean)
-        witness = solver.find_witness(kind, args.family, args.param, args.side)
-    except ValueError as exc:
-        return _fail_usage(str(exc))
-    if witness is None:
-        print("none")
-    else:
-        print(_fmt(witness))
+    witness = solver.find_witness(parse_mean(args.mean), args.family, args.param, args.side)
+    print("none" if witness is None else _fmt(witness))
     return 0
 
 
 def _cmd_table(args) -> int:
+    chain = args.which == "chain"
+    rows = solver.chain_table(args.a, args.b) if chain else solver.constants_table().entries
     print("label,expression,value")
-    if args.which == "constants":
-        for label, expr, value in solver.constants_table().entries:
-            print(f"{label},{expr},{_fmt(value)}")
-        return 0
-    try:
-        rows = solver.chain_table(args.a, args.b)
-    except ValueError as exc:
-        return _fail_usage(str(exc))
     for label, expr, value in rows:
         print(f"{label},{expr},{_fmt(value)}")
     return 0
 
 
 def _cmd_trace(args) -> int:
-    if args.t_min <= 0 or args.t_max <= args.t_min or args.n < 2:
-        return _fail_usage("need 0 < t-min < t-max and n >= 2")
-    func = _TRACEABLE[args.function]
+    if not 0 < args.t_min < args.t_max < math.inf or args.n < 2:
+        raise ValueError("need 0 < t-min < t-max and n >= 2")
     ts = np.logspace(math.log10(args.t_min), math.log10(args.t_max), args.n)
-    try:
-        values = func(ts, args.p)
-    except ValueError as exc:
-        return _fail_usage(str(exc))
+    values = _TRACEABLE[args.function](ts, args.p)
     print("t,value")
     for t, v in zip(ts, values):
         print(f"{_fmt(t)},{_fmt(v)}")
@@ -113,14 +84,14 @@ def _cmd_verify(args) -> int:
 
     check = solver.verify_chain if args.which == "chain" else solver.verify_squeeze
     if args.a is not None or args.b is not None:
-        if args.a is None or args.b is None or args.a <= 0 or args.b <= 0 or args.a == args.b:
-            return _fail_usage("need two distinct positive values --a and --b")
+        if args.a is None or args.b is None:
+            raise ValueError("need two distinct positive values --a and --b")
         ok = check(args.a, args.b)
         print("pass" if ok else "FAIL")
         return 0 if ok else 1
 
     if args.pairs < 1:
-        return _fail_usage("need --pairs >= 1")
+        raise ValueError("need --pairs >= 1")
     rng = np.random.default_rng(args.seed)
     # t log-uniform on [5e-11, 13.8]; the pair (1, e^{2t}) has half log ratio t
     ok = check(1.0, np.exp(2.0 * 10.0 ** rng.uniform(-10.3, math.log10(13.8), args.pairs)))
@@ -178,7 +149,12 @@ def main(argv=None) -> int:
     p_ver.set_defaults(func=_cmd_verify)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    # every rejected value, by the library or a check above, is a ValueError
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

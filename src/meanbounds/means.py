@@ -104,8 +104,6 @@ def parse_mean(text: str) -> MeanKind:
     name, sep, param = text.partition(":")
     if not sep:
         return MeanKind(name)
-    if name not in PARAMETRIC_TAGS:
-        raise ValueError(f"mean '{name}' takes no parameter")
     try:
         value = float(param)
     except ValueError:

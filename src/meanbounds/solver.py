@@ -1,13 +1,15 @@
 """Sharp-bound solving and verification.
 
-Every comparison "family mean with parameter q versus target mean m" in this
-library fails, when it fails, either at t -> 0+ (where log-mean differences
-behave like (c2_family - c2_mean) t^2) or at t -> infinity (where they tend
-to the difference of growth offsets).  The universal quantifier over t is
-therefore implemented as a dense log grid on [1e-6, 50] plus those two
-analytic limit checks.  A sharp endpoint is where the two limit checks
-switch, found by bisection over the parameter and confirmed by one grid
-check; bisecting the full predicate (limits and grid) is the fallback.
+A comparison "family mean with parameter q versus target mean m" fails, when
+it fails, at t -> 0+ (where log-mean differences behave like
+(c2_family - c2_mean) t^2), at t -> infinity (where they tend to the
+difference of growth offsets), or in between, as yang against the lehmer
+family from below does near t = 3.6.  The universal quantifier over t is
+therefore a dense log grid on [1e-6, 50] plus those two analytic limit
+checks; a failure beyond t = 50 that the limits do not show goes unseen.  A
+sharp endpoint is where the two limit checks switch, found by bisection over
+the parameter and confirmed by one grid check; bisecting the full predicate
+(limits and grid) is the fallback.
 
 The module also carries the closed-form endpoint catalog used as
 cross-check targets, the sharp multiplicative factors for the sandor-yang
@@ -36,13 +38,10 @@ from .means import (
 from .numerics import _bisect, atan_tanh_ratio_m1
 
 # Grid used for "for all t" checks, per the solver design: 1e4 log-spaced
-# points on [1e-6, 50].  Values within TIE of equality count as holding;
-# the analytic limit checks get a small slack so exact endpoint parameters
-# (where the limits bind with equality) are admitted.
+# points on [1e-6, 50].  Values within TIE of equality count as holding.
 GRID_POINTS = 10_000
 GRID_LO, GRID_HI = 1e-6, 50.0
 TIE = 1e-13
-_LIMIT_SLACK = 1e-9
 
 # Agreement with the closed form that the `endpoint` command accepts; grid
 # resolution, not the bisection width, sets it.
@@ -61,7 +60,7 @@ def sharp_lower_exponent() -> float:
 
 def sharp_factor(p: float) -> float:
     """exp(pi/4 - 1) * 2^(1/p - 1/2): best c with c*M_p < sandor-yang, p >= 4/3."""
-    if p <= 0:
+    if not p > 0:
         raise ValueError("sharp factor requires a positive exponent")
     return math.exp(math.pi / 4.0 - 1.0) * 2.0 ** (1.0 / p - 0.5)
 
@@ -115,7 +114,7 @@ def _family_kind(family: str, p: float) -> MeanKind:
     return MeanKind(family, p)
 
 
-def _limits_check(kind: MeanKind, family: str, side: str, slack: float) -> Callable[[float], bool]:
+def _limits_check(kind: MeanKind, family: str, side: str) -> Callable[[float], bool]:
     """True iff c2 and omega of family member p admit it; -inf - -inf is NaN, which holds."""
     if side not in SIDES:
         raise ValueError(f"unknown side '{side}'")
@@ -125,16 +124,16 @@ def _limits_check(kind: MeanKind, family: str, side: str, slack: float) -> Calla
 
     def holds(p: float) -> bool:
         fam = _family_kind(family, p)
-        if sign * (quadratic_coefficient(fam) - mean_c2) > slack:
+        if sign * (quadratic_coefficient(fam) - mean_c2) > 0.0:
             return False
-        return not sign * (growth_offset(fam) - mean_om) > slack
+        return not sign * (growth_offset(fam) - mean_om) > 0.0
 
     return holds
 
 
 def _bound_predicate(kind: MeanKind, family: str, side: str) -> Callable[[float], bool]:
     """True iff the family member with parameter p bounds `kind` on the given side."""
-    limits = _limits_check(kind, family, side, _LIMIT_SLACK)
+    limits = _limits_check(kind, family, side)
     return lambda p: limits(p) and find_witness(kind, family, p, side) is None
 
 
@@ -143,16 +142,17 @@ def best_exponent(kind: MeanKind, family: str, side: str) -> EndpointReport:
 
     The lower side returns the supremum of admissible lower-bound parameters,
     the upper side the infimum of admissible upper-bound parameters.  The
-    main path bisects the c2 and omega checks alone, with no slack, and
-    confirms their switch point with one grid check: the families increase
-    in p, so a bound holding there holds short of it, and past it a limit
-    fails.  Otherwise (no switch in the window, or a witness at it) the
-    fallback bisects the full predicate: limits with _LIMIT_SLACK, then grid.
+    main path bisects the c2 and omega checks alone and confirms their switch
+    point with one grid check: the families increase in p, so a bound holding
+    there holds short of it, and past it a limit fails.  Otherwise (no switch
+    in the window, or a witness at it: an interior failure) the fallback
+    bisects the full predicate, limits then grid, and is only as sharp as the
+    grid, whose last point is t = GRID_HI.
     """
     lo, hi = -10.0, 10.0
     lower = side == "lower"
     hold_at, fail_at = (lo, hi) if lower else (hi, lo)
-    limits = _limits_check(kind, family, side, 0.0)
+    limits = _limits_check(kind, family, side)
     closed = _closed_form(kind, family, side)
     if limits(hold_at) and not limits(fail_at):
         numeric = _bisect(lambda p: limits(p) == lower, lo, hi, 60)
@@ -174,13 +174,12 @@ def find_witness(kind: MeanKind, family: str, param: float, side: str) -> Option
     is a grid point violating it by more than the tie tolerance.  Absence of
     a witness is a valid result (the grid covers t in [1e-6, 50] only).
     """
-    fam = _family_kind(family, param)
+    if side not in SIDES:
+        raise ValueError(f"unknown side '{side}'")
     grid = _grid()
-    gap = log_mean_normalized(fam, grid) - _mean_log_on_grid(kind)
+    gap = log_mean_normalized(_family_kind(family, param), grid) - _mean_log_on_grid(kind)
     if side == "upper":
         gap = -gap
-    elif side != "lower":
-        raise ValueError(f"unknown side '{side}'")
     worst = int(np.argmax(gap))
     if gap[worst] <= TIE:
         return None
@@ -300,10 +299,11 @@ def chain_margins(t) -> np.ndarray:
 
 def chain_table(a: float, b: float) -> list[tuple[str, str, float]]:
     """(label, expression, value) rows of the chain, in ascending order."""
-    if a == b:
+    t = half_log_ratio(a, b)
+    if t == 0.0:
         raise ValueError("chain table requires distinct arguments")
     scale = math.sqrt(a) * math.sqrt(b)
-    rows = _chain_rows(np.atleast_1d(half_log_ratio(a, b)))
+    rows = _chain_rows(np.atleast_1d(t))
     return [(label, expr, scale * math.exp(float(logval[0]))) for label, expr, logval in rows]
 
 
@@ -323,8 +323,11 @@ def squeeze_margins(t):
 
 def _holds_at_every_pair(a, b, name: str, holds: Callable[[np.ndarray], bool]) -> bool:
     """True iff holds(t) at the half log ratio t of every pair of the broadcast a, b."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if np.isinf(a).any() or np.isinf(b).any():  # before (inf, inf) turns t into NaN
+        raise ValueError(f"{name} verification requires finite arguments")
     # .flat copies only the block; ravel() of a broadcast scalar copies it all
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    a, b = np.broadcast_arrays(a, b)
     ok = True
     for i in range(0, a.size, _SWEEP_BLOCK):
         t = half_log_ratio(a.flat[i : i + _SWEEP_BLOCK], b.flat[i : i + _SWEEP_BLOCK])
@@ -339,7 +342,7 @@ def verify_chain(a, b) -> bool:
     """The full scaled-power-mean chain at every pair of a and b.
 
     a and b are positive numbers or arrays that broadcast together.  True iff
-    the chain holds at every pair; an equal pair raises ValueError.
+    the chain holds at every pair; an equal or infinite pair raises ValueError.
     """
     # the scaled members share one asymptote, so at large t their margins are
     # rounding noise of the log values, about an ulp of t (1.1e-13 at 709)

@@ -38,20 +38,6 @@ def test_eval_toader(capsys):
     assert float(out) == pytest.approx(1.5419644251900402, rel=1e-14)
 
 
-def test_eval_usage_errors(capsys):
-    for argv in (
-        ("eval", "--mean", "powr:2", "--a", "1", "--b", "2"),
-        ("eval", "--mean", "power", "--a", "1", "--b", "2"),
-        ("eval", "--mean", "lehmer:inf", "--a", "1", "--b", "2"),
-        ("eval", "--mean", "arithmetic", "--a", "-1", "--b", "2"),
-        ("eval", "--mean", "arithmetic", "--a", "0", "--b", "2"),
-    ):
-        code, out, err = run(capsys, *argv)
-        assert code == 2, argv
-        assert out == ""
-        assert err.startswith("error:")
-
-
 # --- endpoint ---------------------------------------------------------------
 
 
@@ -67,14 +53,6 @@ def test_endpoint_recovers_the_lower_exponent(capsys):
     assert closed == pytest.approx(P0, rel=1e-15)
     assert numeric == pytest.approx(P0, abs=1e-8)
     assert abs(diff) <= 1e-3
-
-
-def test_endpoint_without_catalogued_form_is_a_usage_error(capsys):
-    code, _, err = run(
-        capsys, "endpoint", "--mean", "power:2", "--family", "power", "--side", "lower"
-    )
-    assert code == 2
-    assert "no closed form" in err
 
 
 def test_endpoint_without_catalogued_form_is_not_solved(capsys):
@@ -159,12 +137,6 @@ def test_chain_table_rows_ascend(capsys):
     assert lines[-1].startswith("max,")
 
 
-def test_chain_table_rejects_equal_arguments(capsys):
-    code, _, err = run(capsys, "table", "--which", "chain", "--a", "2", "--b", "2")
-    assert code == 2
-    assert err.startswith("error:")
-
-
 # --- trace ------------------------------------------------------------------
 
 
@@ -210,22 +182,7 @@ def test_trace_log_gap_peaks_near_t0(capsys):
     assert peak_t == pytest.approx(T0, abs=0.02)
 
 
-def test_trace_usage_errors(capsys):
-    bad_ranges = (
-        ("--t-min", "0", "--t-max", "1", "--n", "10"),
-        ("--t-min", "2", "--t-max", "1", "--n", "10"),
-        ("--t-min", "0.1", "--t-max", "1", "--n", "1"),
-    )
-    for extra in bad_ranges:
-        code, _, err = run(capsys, "trace", "--function", "log-gap", "--p", "2", *extra)
-        assert code == 2
-        assert err.startswith("error:")
-    # log-gap needs p != 0
-    code, _, err = run(
-        capsys, "trace", "--function", "log-gap",
-        "--p", "0", "--t-min", "0.1", "--t-max", "1", "--n", "5",
-    )
-    assert code == 2
+def test_trace_rejects_unknown_function(capsys):
     with pytest.raises(SystemExit) as exc:
         run(capsys, "trace", "--function", "bogus",
             "--p", "1", "--t-min", "0.1", "--t-max", "1", "--n", "5")
@@ -259,19 +216,6 @@ def test_verify_seiffert_lehmer(capsys):
     lines = out.splitlines()
     assert len(lines) == 6
     assert all(line.endswith(",pass") for line in lines)
-
-
-def test_verify_pair_usage_errors(capsys):
-    for argv in (
-        ("verify", "--which", "chain", "--a", "1"),
-        ("verify", "--which", "chain", "--a", "1", "--b", "1"),
-        ("verify", "--which", "squeeze", "--a", "-1", "--b", "2"),
-        ("verify", "--which", "chain", "--pairs", "0"),
-        ("verify", "--which", "squeeze", "--pairs", "-1"),
-    ):
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (2, ""), argv
-        assert err.startswith("error:")
 
 
 def test_chain_and_verify_stdout_is_pinned(capsys):
@@ -336,6 +280,73 @@ four_over_pi,4/pi,1.27323954473516
 two_pow_8_5_over_pi,2^(8/5)/pi,0.964935135545622
 """
     assert run(capsys, "table", "--which", "constants") == (0, constants, "")
+
+
+# --- usage errors -----------------------------------------------------------
+
+_TRACE = ("trace", "--function", "log-gap", "--p")
+_RANGE = "need 0 < t-min < t-max and n >= 2"
+_POSITIVE = "a and b must be positive"
+
+# (argv, the message after "error: ")
+USAGE_ERRORS = [
+    (("eval", "--mean", "powr:2", "--a", "1", "--b", "2"), "unknown mean 'powr'"),
+    (("eval", "--mean", "power", "--a", "1", "--b", "2"), "mean 'power' requires a parameter"),
+    (
+        ("eval", "--mean", "lehmer:inf", "--a", "1", "--b", "2"),
+        "lehmer mean does not accept an infinite parameter",
+    ),
+    (("eval", "--mean", "arithmetic", "--a", "-1", "--b", "2"), _POSITIVE),
+    (("eval", "--mean", "arithmetic", "--a", "0", "--b", "2"), _POSITIVE),
+    (
+        ("endpoint", "--mean", "power:2", "--family", "power", "--side", "lower"),
+        "no closed form catalogued for power:2/power",
+    ),
+    (
+        ("witness", "--mean", "log:1", "--family", "power", "--param", "1", "--side", "lower"),
+        "mean 'log' takes no parameter",
+    ),
+    (
+        ("table", "--which", "chain", "--a", "2", "--b", "2"),
+        "chain table requires distinct arguments",
+    ),
+    (("table", "--which", "chain", "--a", "-1"), _POSITIVE),
+    ((*_TRACE, "2", "--t-min", "0", "--t-max", "1", "--n", "10"), _RANGE),
+    ((*_TRACE, "2", "--t-min", "2", "--t-max", "1", "--n", "10"), _RANGE),
+    ((*_TRACE, "2", "--t-min", "0.1", "--t-max", "1", "--n", "1"), _RANGE),
+    ((*_TRACE, "2", "--t-min", "nan", "--t-max", "1", "--n", "10"), _RANGE),
+    ((*_TRACE, "2", "--t-min", "0.1", "--t-max", "inf", "--n", "10"), _RANGE),
+    (
+        (*_TRACE, "0", "--t-min", "0.1", "--t-max", "1", "--n", "5"),
+        "log_gap requires a nonzero exponent",
+    ),
+    (("verify", "--which", "chain", "--a", "1"), "need two distinct positive values --a and --b"),
+    (
+        ("verify", "--which", "chain", "--a", "1", "--b", "1"),
+        "chain verification requires distinct arguments",
+    ),
+    (("verify", "--which", "squeeze", "--a", "-1", "--b", "2"), _POSITIVE),
+    (("verify", "--which", "chain", "--a", "nan", "--b", "2"), _POSITIVE),
+    (
+        ("verify", "--which", "chain", "--a", "1", "--b", "inf"),
+        "chain verification requires finite arguments",
+    ),
+    (
+        ("verify", "--which", "squeeze", "--a", "1", "--b", "inf"),
+        "squeeze verification requires finite arguments",
+    ),
+    (("verify", "--which", "chain", "--pairs", "0"), "need --pairs >= 1"),
+    (("verify", "--which", "squeeze", "--pairs", "-1"), "need --pairs >= 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", USAGE_ERRORS, ids=[" ".join(argv) for argv, _ in USAGE_ERRORS]
+)
+def test_usage_error_exits_2_with_one_error_line(capsys, argv, message):
+    # nothing on stdout, and one line on stderr: no traceback, no warning
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
 
 # --- wiring -----------------------------------------------------------------
 

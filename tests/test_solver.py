@@ -3,8 +3,10 @@
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
+from oracles import mean_oracle
 
 from meanbounds import solver
 from meanbounds import (
@@ -66,7 +68,7 @@ def test_sharp_factor_decreases_with_the_exponent():
 
 
 def test_sharp_factor_domain():
-    for bad in (0.0, -1.0):
+    for bad in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError):
             sharp_factor(bad)
 
@@ -218,20 +220,20 @@ def test_literature_endpoints_make_one_grid_check_each(monkeypatch):
     assert len(calls) == 16
 
 
-def test_best_exponent_falls_back_to_predicate_bisection(monkeypatch):
-    # a witness at the limits' switch point sends the search to the predicate
-    calls = []
-    witness = solver.find_witness
-
-    def first_reports_a_witness(*args):
-        calls.append(args)
-        return 1.0 if len(calls) == 1 else witness(*args)
-
-    monkeypatch.setattr(solver, "find_witness", first_reports_a_witness)
-    report = best_exponent(MeanKind("log"), "power", "upper")
+def test_best_exponent_falls_back_to_predicate_bisection():
+    # yang against the lehmer family from below fails in the interior: past
+    # the endpoint both limits still hold, and only the grid finds a witness
+    kind = MeanKind("yang")
+    report = best_exponent(kind, "lehmer", "lower")
     assert report.decided_by == "grid"
-    assert report.numeric == 0.3333333313333333  # the predicate bisection's value
-    assert len(calls) > 30
+    assert report.numeric == -0.02185582900138966  # the predicate bisection's value
+    p = report.numeric + 1e-3
+    t = find_witness(kind, "lehmer", p, "lower")
+    assert t == pytest.approx(3.58, abs=0.01)
+    assert solver._limits_check(kind, "lehmer", "lower")(p)
+    a, b = mp.exp(-mp.mpf(t)), mp.exp(mp.mpf(t))
+    gap = mp.log(mean_oracle("lehmer", p, a, b)) - mp.log(mean_oracle("yang", None, a, b))
+    assert float(gap) == pytest.approx(0.0038, abs=1e-4)
 
 
 def test_endpoint_report_fields():
@@ -290,8 +292,12 @@ def test_target_profile_cache_is_bounded():
     assert _mean_log_on_grid.cache_info().currsize <= 32
 
 
-def test_witness_side_validation():
+def test_witness_side_validation(monkeypatch):
     with pytest.raises(ValueError):
+        find_witness(MeanKind("sandor-yang"), "power", 1.0, "middle")
+    # the side is checked before any grid is evaluated
+    monkeypatch.setattr(solver, "log_mean_normalized", None)
+    with pytest.raises(ValueError, match="unknown side"):
         find_witness(MeanKind("sandor-yang"), "power", 1.0, "middle")
 
 
@@ -381,6 +387,15 @@ def test_squeeze_on_pairs():
         assert result == all(verify_squeeze(float(u), float(v)) for u, v in np.broadcast(x, y))
     with pytest.raises(ValueError):
         verify_squeeze(a, np.append(b[:-1], 4.0))
+
+
+def test_verifiers_reject_infinite_arguments():
+    late = np.full(solver._SWEEP_BLOCK + 1, 3.0)
+    late[-1] = math.inf  # in the second block of the sweep
+    for verify in (verify_chain, verify_squeeze):
+        for a, b in ((1.0, math.inf), (math.inf, 2.0), (math.inf, math.inf), (1.0, late)):
+            with pytest.raises(ValueError, match="requires finite arguments"):
+                verify(a, b)
 
 
 def test_seiffert_lehmer_verification():
