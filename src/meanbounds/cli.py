@@ -93,8 +93,12 @@ def _cmd_verify(args) -> int:
     if args.pairs < 1:
         raise ValueError("need --pairs >= 1")
     rng = np.random.default_rng(args.seed)
-    # t log-uniform on [5e-11, 13.8]; the pair (1, e^{2t}) has half log ratio t
-    ok = check(1.0, np.exp(2.0 * 10.0 ** rng.uniform(-10.3, math.log10(13.8), args.pairs)))
+    # t log-uniform on [5e-11, 13.8]; the pair (1, e^{2t}) has half log ratio t.
+    # Drawn per sweep block: the same stream as one draw, in bounded memory
+    ok = True
+    for start in range(0, args.pairs, solver._SWEEP_BLOCK):
+        n = min(solver._SWEEP_BLOCK, args.pairs - start)
+        ok = check(1.0, np.exp(2.0 * 10.0 ** rng.uniform(-10.3, math.log10(13.8), n))) and ok
     print(f"pairs,{args.pairs}")
     print(f"result,{'pass' if ok else 'FAIL'}")
     return 0 if ok else 1

@@ -43,6 +43,7 @@ import numpy as np
 from .means import MeanKind, _lognorm_power, _lognorm_sandor_yang, eval_mean, half_log_ratio
 from .numerics import (
     _ATAN_SERIES_Y,
+    _COSH_MAX_ARG,
     _atan_series,
     _elementwise,
     _horner,
@@ -54,8 +55,6 @@ from .numerics import (
 
 _CURV_SERIES_RADIUS = 1e-3
 _CURV_SERIES_TERMS = 8
-# cosh(700) = 5e303: up to here the closed form's terms and sum stay finite
-_CURV_CLOSED_MAX_ARG = 700.0
 
 
 def curvature_coefficient(n: int, p):
@@ -130,7 +129,7 @@ def curvature_kernel(t, p: float):
     def closed(t):
         return sum(w * np.cosh(k * t) for w, k in terms) - p - 1.0
 
-    far_from = _CURV_CLOSED_MAX_ARG / max(abs(k) for _, k in terms)
+    far_from = _COSH_MAX_ARG / max(abs(k) for _, k in terms)
     return _piecewise(
         t,
         (

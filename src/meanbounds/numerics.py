@@ -1,13 +1,14 @@
 """Low-level numeric primitives shared by the mean and kernel evaluators.
 
-Everything here is overflow-safe binary64: log-of-hyperbolic helpers with
-large-argument branches, the ratio arctan(y)/y - 1 at y = tanh x and
-y = sinh x, summed as its Taylor series in y below y = 0.1, where the direct
-quotient would cancel, the Gauss-Kummer coefficients of the Toader mean, and an AGM evaluation of the
-complete elliptic integral of the second kind.  It also holds the four
-helpers the package shares: the scalar/array boundary of its public
-functions, the branch table of every piecewise evaluator, Horner's rule and
-bisection.
+Everything here is overflow-safe binary64: log cosh, one closed row up to
+|x| = 700 and a far row beyond, where 2 sinh^2(x/2) nears overflow, so that
+an ordinary array never splits; log sinh, with a far row past 20; the ratio
+arctan(y)/y - 1 at y = tanh x and y = sinh x, summed as its Taylor series in
+y below y = 0.1, where the direct quotient would cancel; the Gauss-Kummer
+coefficients of the Toader mean; and an AGM evaluation of the complete
+elliptic integral of the second kind.  It also holds the four helpers the
+package shares: the scalar/array boundary of its public functions, the
+branch table of every piecewise evaluator, Horner's rule and bisection.
 """
 
 from __future__ import annotations
@@ -116,16 +117,22 @@ def _bisect(goes_right, lo, hi, steps):
     return 0.5 * (lo + hi)
 
 
+# cosh(700) = 5e303: up to here cosh, and the sums built on it, stay finite
+_COSH_MAX_ARG = 700.0
+
 _LOGCOSH_ROWS = (
-    (lambda a: a < 1.0, lambda a: np.log1p(2.0 * np.square(np.sinh(0.5 * a)))),
-    (lambda a: a > 20.0, lambda a: a - LOG2 + np.log1p(np.exp(-2.0 * a))),
-    (None, lambda a: np.log(np.cosh(a))),
+    (lambda a: a > _COSH_MAX_ARG, lambda a: a - LOG2 + np.log1p(np.exp(-2.0 * a))),
+    (None, lambda a: np.log1p(2.0 * np.square(np.sinh(0.5 * a)))),
 )
 
 
 @_elementwise()
 def logcosh(x):
-    """log(cosh(x)) without overflow, accurate down to x = 0."""
+    """log(cosh(x)) without overflow, within 2 ulp for all x.
+
+    log1p(2 sinh^2(x/2)) keeps every digit down to x = 0 and is finite up to
+    |x| = 700; beyond, where it nears overflow, |x| - log 2 + log1p(e^(-2|x|)).
+    """
     return _piecewise(np.abs(x), _LOGCOSH_ROWS)
 
 

@@ -27,6 +27,7 @@ import numpy as np
 
 from .kernels import log_gap, slope_kernel
 from .means import (
+    _FAMILIES,
     LOG2,
     PARAMETRIC_TAGS,
     MeanKind,
@@ -118,15 +119,17 @@ def _limits_check(kind: MeanKind, family: str, side: str) -> Callable[[float], b
     """True iff c2 and omega of family member p admit it; -inf - -inf is NaN, which holds."""
     if side not in SIDES:
         raise ValueError(f"unknown side '{side}'")
+    if family not in FAMILIES:
+        raise ValueError(f"unknown mean family '{family}'")
+    _, c2, omega = _FAMILIES[family]
     mean_c2 = quadratic_coefficient(kind)
     mean_om = growth_offset(kind)
     sign = 1.0 if side == "lower" else -1.0
 
     def holds(p: float) -> bool:
-        fam = _family_kind(family, p)
-        if sign * (quadratic_coefficient(fam) - mean_c2) > 0.0:
+        if sign * (c2(p) - mean_c2) > 0.0:
             return False
-        return not sign * (growth_offset(fam) - mean_om) > 0.0
+        return not sign * (omega(p) - mean_om) > 0.0
 
     return holds
 

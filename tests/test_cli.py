@@ -1,11 +1,12 @@
 """Command-line interface: output shape, exit codes, determinism."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from meanbounds import cli
+from meanbounds import cli, solver
 
 P0 = 1.2351702290504027
 T0 = 0.93728564929146117
@@ -208,6 +209,22 @@ def test_verify_sweeps(capsys):
     code, out, _ = run(capsys, "verify", "--which", "squeeze", "--pairs", "500", "--seed", "7")
     assert code == 0
     assert out.endswith("result,pass\n")
+
+
+def _verify_peak_bytes(capsys, pairs):
+    tracemalloc.start()
+    try:
+        assert run(capsys, "verify", "--which", "chain", "--pairs", str(pairs))[0] == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_verify_sweep_memory_is_bounded_in_pairs(capsys):
+    # pairs are drawn per sweep block, so 4x the pairs keeps the peak
+    run(capsys, "verify", "--which", "chain", "--pairs", "100")  # first-use caches
+    block = solver._SWEEP_BLOCK
+    assert _verify_peak_bytes(capsys, 16 * block) <= 1.2 * _verify_peak_bytes(capsys, 4 * block)
 
 
 def test_verify_seiffert_lehmer(capsys):
