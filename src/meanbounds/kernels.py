@@ -10,7 +10,11 @@ whose t-derivative is slope_kernel(t, p) / sinh^2(t) with
     slope_kernel(t, p) = -arctan(tanh t) + sinh(t) cosh(t) - tanh(pt) sinh^2(t)
                        = -arctan(tanh t) + sinh(t) cosh((p-1)t) / cosh(pt),
 
-and the t-derivative of slope_kernel is in turn governed by
+and the t-derivative of slope_kernel is exactly
+
+    d/dt slope_kernel(t, p) = curvature_kernel(2t, p) / (4 cosh(2t) cosh^2(pt))
+
+where
 
     curvature_kernel(t, p) = cosh((p-2)t) - cosh(pt) + (1-p) cosh(2t)
                              + 2p cosh(t) - p - 1
@@ -30,8 +34,8 @@ which leaves slope_kernel(t, p) / sinh^2(t) as a sum of two O(t) terms,
 
 with g(y) = (arctan y - y)/y^2 from the arctan series.  No t^3 factor is
 formed, so this quotient, which log_gap_slope returns, keeps its relative
-accuracy down to the smallest normal t.  Below t = 1e-3 the curvature kernel sums its Maclaurin series, whose
-coefficients are exact in p.
+accuracy down to the smallest normal t.  Below t = 1e-3 the curvature kernel
+sums its Maclaurin series, whose coefficients are exact in p.
 """
 
 from __future__ import annotations

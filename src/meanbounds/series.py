@@ -1,90 +1,65 @@
-"""Single-sign-change series analysis.
+"""The power-mean bounds of the sandor-yang mean B, certified in exact arithmetic.
 
-A power series P(t) = sum a_k t^k whose coefficients run nonnegative up to
-index m (with a_m > 0) and nonpositive afterwards (not all zero) is positive
-near 0, eventually negative, and crosses zero exactly once on (0, inf).
-`detect_sign_change` recognises the pattern on a stored coefficient prefix;
-`series_positive_root` then brackets and bisects the unique crossing.
-
-Truncation is the caller's contract: the prefix must be long enough that the
-dropped tail is negligible inside the evaluation radius (for the hyperbolic
-kernels used here the 1/(2n)! decay makes that easy to satisfy).
+M_p < B < M_q for all a != b iff p <= p0 = 4 log2/(4 + 2 log2 - pi) and
+q >= 4/3.  With F = log_gap, f1 = slope_kernel and f2 = curvature_kernel,
+F' = f1 / sinh^2 t, f1' = f2(2t, p) / (4 cosh 2t cosh^2(pt)), and f2(x, p) is
+the sum of u_n x^(2n)/(2n)! with u_n = curvature_coefficient(n, p).  A power
+series whose coefficients change sign once has exactly one positive root, so
+the signs of all u_n fix the shape of f1 and so of F.  For 1 < p <= 3,
+u_1 = 8 - 6p and, as (2-p)^(2n) <= 1 and 4^n >= 16, u_n < 17 - 14p for every
+n >= 2: two rational tests decide all n at once, on Fractions, with pi and
+log 2 entering through rational enclosures only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from fractions import Fraction
 
-import numpy as np
+from .kernels import curvature_coefficient
 
-from .numerics import _bisect, _horner
+PI_BOUNDS = (Fraction(333, 106), Fraction(355, 113))
+LOG2_BOUNDS = (Fraction(6931, 10**4), Fraction(6932, 10**4))
+CHAIN_EXPONENTS = (Fraction(4, 3), Fraction(3, 2), Fraction(2), Fraction(3))
+_BAND = (Fraction(17, 14), Fraction(4, 3))  # where 8 - 6p > 0 > 17 - 14p
 
-_MAX_ITER = 200
 
-
-def detect_sign_change(coeffs) -> int | None:
-    """Largest m with coeffs[0..m] >= 0, coeffs[m] > 0, tail <= 0, some < 0.
-
-    Returns None when the pattern does not hold ("not applicable"); callers
-    must not run root finding in that case.  A scan landing on a zero head
-    coefficient is rejected: the criterion needs a_m strictly positive.
-    """
-    c = [float(v) for v in coeffs]
-    if not c:
-        raise ValueError("coefficient list must be nonempty")
-    m = None
-    for k, v in enumerate(c):
-        if v > 0:
-            m = k
-        elif v < 0:
-            break
-    if m is None:
+def _sign_pattern(p) -> str | None:
+    """"+-" if u_1 > 0 > u_n for all n >= 2, "-" if u_n <= 0 for all n, else None."""
+    p = Fraction(p)
+    if not 1 < p <= 3:
         return None
-    head, tail = c[: m + 1], c[m + 1 :]
-    if any(v < 0 for v in head):
-        return None
-    if any(v > 0 for v in tail) or not any(v < 0 for v in tail):
-        return None
-    return m
+    if curvature_coefficient(1, p) <= 0:
+        return "-"
+    return "+-" if 17 - 14 * p < 0 else None
 
 
-@dataclass(frozen=True)
-class CoefficientSeq:
-    """A coefficient prefix together with its validated sign-change index."""
-
-    coeffs: tuple
-    sign_change_index: int
-
-    @classmethod
-    def from_coeffs(cls, coeffs) -> "CoefficientSeq":
-        m = detect_sign_change(coeffs)
-        if m is None:
-            raise ValueError("coefficients do not show a single +/- sign change")
-        return cls(tuple(float(v) for v in coeffs), m)
-
-    def __call__(self, t):
-        return _horner(self.coeffs, np.asarray(t, dtype=float))
-
-
-def series_positive_root(seq: CoefficientSeq, radius: float) -> float:
-    """The unique positive root of the truncated series inside (0, radius].
-
-    Brackets by geometric expansion from radius * 1e-6, then bisects until
-    the midpoint rounds to an end of the bracket: the root to the last bit.
-    Raises if the series never goes negative before the radius (the crossing
-    would lie outside the trusted truncation zone).
-    """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    lo = radius * 1e-6
-    if seq(lo) <= 0:
-        raise ValueError("series is not positive at the inner bracket point")
-    hi = lo
-    while seq(hi) > 0:
-        hi *= 2.0
-        if hi > radius:
-            if seq(radius) > 0:
-                raise ValueError("no sign change of the series within radius")
-            hi = radius
-            break
-    return _bisect(lambda x: seq(x) > 0, hi / 2.0, hi, _MAX_ITER)
+def power_bound_certificate() -> tuple:
+    """(step, statement, holds) rows proving the theorem, each holds decided on Fractions."""
+    corners = tuple(zip(PI_BOUNDS, LOG2_BOUNDS))
+    # p0 increases in pi and in log 2, so the two corners bracket it
+    lo, hi = bracket = [4 * log2 / (4 + 2 * log2 - pi) for pi, log2 in corners]
+    # F(inf, p) = pi/4 - 1 - log2/2 + log2/p decreases in p and vanishes at p0
+    p0_root = all(pi / 4 - 1 - l2 / 2 + l2 / p0 == 0 for (pi, l2), p0 in zip(corners, bracket))
+    rows = [
+        ("p0 bracket", f"{lo} < p0 < {hi}, inside (17/14, 4/3)", _BAND[0] < lo < hi < _BAND[1]),
+        (
+            "sign change at p0",
+            "u_1 > 0 > u_n for n >= 2 at both ends: f2 changes sign once",
+            _sign_pattern(lo) == _sign_pattern(hi) == "+-",
+        ),
+        (
+            "lower bound p0",
+            "f1 rises from 0, then falls to 1/2 - pi/4 < 0; F rises, then falls to F(inf, p0) = 0:"
+            " M_p <= M_p0 < B for p <= p0",
+            Fraction(1, 2) - PI_BOUNDS[0] / 4 < 0 and p0_root,
+        ),
+    ]
+    for q in CHAIN_EXPONENTS:
+        statement = f"u_n <= 0 for all n: f1 < 0, F falls from 0 to F(inf, {q}) = log lambda_{q}:"
+        statement += f" lambda_{q} M_{q} < B < M_{q}, sharp"
+        rows.append((f"upper bound {q}", statement, _sign_pattern(q) == "-"))
+    statement = "c2(B) = 1 - 1/3 = 2/3 = (4/3)/2 > q/2 = c2(M_q): B > M_q as t -> 0, 4/3 is least"
+    rows.append(("q < 4/3 fails", statement, 1 - Fraction(1, 3) == Fraction(4, 3) / 2))
+    statement = "F(inf, p) = log2 (1/p - 1/p0) < 0 as log 2 > 0: B < M_p as t -> inf"
+    rows.append(("p > p0 fails", statement, LOG2_BOUNDS[0] > 0 and p0_root))
+    return tuple(rows)

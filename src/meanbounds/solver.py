@@ -13,7 +13,9 @@ the parameter and confirmed by one grid check; bisecting the full predicate
 
 The module also carries the closed-form endpoint catalog used as
 cross-check targets, the sharp multiplicative factors for the sandor-yang
-mean, and the verification routines for its bound chains.
+mean, and the verification routines for its bound chains.  The theorem
+behind p0, 4/3 and those factors is proved exactly, with no grid, by
+series.power_bound_certificate.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .means import (
     quadratic_coefficient,
 )
 from .numerics import _bisect, atan_tanh_ratio_m1
+from .series import CHAIN_EXPONENTS
 
 # Grid used for "for all t" checks, per the solver design: 1e4 log-spaced
 # points on [1e-6, 50].  Values within TIE of equality count as holding.
@@ -64,18 +67,6 @@ def sharp_factor(p: float) -> float:
     if not p > 0:
         raise ValueError("sharp factor requires a positive exponent")
     return math.exp(math.pi / 4.0 - 1.0) * 2.0 ** (1.0 / p - 0.5)
-
-
-@dataclass(frozen=True)
-class SharpConstants:
-    """The solved constants of the power-mean comparison."""
-
-    p0: float
-    q_upper: float = UPPER_EXPONENT
-
-
-def sharp_constants() -> SharpConstants:
-    return SharpConstants(p0=sharp_lower_exponent())
 
 
 @dataclass(frozen=True)
@@ -272,7 +263,7 @@ def peak_ratio(p: float) -> float:
 
 # --- chain and squeeze verification -----------------------------------------
 
-_CHAIN_EXPONENTS = (4.0 / 3.0, 1.5, 2.0, 3.0)
+_CHAIN_EXPONENTS = tuple(map(float, CHAIN_EXPONENTS))
 
 # Pairs per block of a verify sweep: the chain holds 21 arrays of the block's
 # size at once (168 MB at 10^6 pairs), so blocks of 2^15 bound it near 6 MB;

@@ -189,13 +189,11 @@ def test_gap_peak_stops_bisecting_at_a_fixed_point(monkeypatch):
 
 
 def test_public_names_are_pinned():
-    # 36 names plus __version__; a new or lost public name fails here
+    # 32 names plus __version__; a new or lost public name fails here
     assert sorted(meanbounds.__all__) == [
-        "CoefficientSeq",
         "EndpointReport",
         "MeanKind",
         "SharpConstantTable",
-        "SharpConstants",
         "__version__",
         "best_exponent",
         "chain_margins",
@@ -203,7 +201,6 @@ def test_public_names_are_pinned():
         "constants_table",
         "curvature_coefficient",
         "curvature_kernel",
-        "detect_sign_change",
         "eval_mean",
         "eval_mean_normalized",
         "find_witness",
@@ -217,9 +214,8 @@ def test_public_names_are_pinned():
         "log_mean_normalized",
         "parse_mean",
         "peak_ratio",
+        "power_bound_certificate",
         "quadratic_coefficient",
-        "series_positive_root",
-        "sharp_constants",
         "sharp_factor",
         "sharp_lower_exponent",
         "slope_kernel",

@@ -169,6 +169,22 @@ def test_curvature_drives_slope_derivative():
             assert fd == pytest.approx(closed, rel=1e-7), (t, p)
 
 
+def test_slope_derivative_identity_to_high_precision():
+    # the identity above holds exactly: checked at 60 digits, 16 (t, p) points;
+    # f1 is spelled out, as slope_oracle would pin the precision mp.diff raises
+    def f1(t, p):
+        return -mp.atan(mp.tanh(t)) + mp.sinh(t) * (mp.cosh(t) - mp.tanh(p * t) * mp.sinh(t))
+
+    worst = 0
+    with mp.workdps(60):
+        for p in map(mp.mpf, ("-2", "-0.5", "1.2", "3")):
+            for t in map(mp.mpf, ("0.05", "0.7", "2", "6")):
+                derivative = mp.diff(lambda s: f1(s, p), t)
+                closed = curvature_oracle(2 * t, p) / (4 * mp.cosh(2 * t) * mp.cosh(p * t) ** 2)
+                worst = max(worst, abs(derivative / closed - 1))
+    assert worst < 1e-45
+
+
 def test_curvature_series_branch_is_continuous():
     for p in (0.5, 1.2, 2.0):
         below = curvature_kernel(0.000999, p)
@@ -177,6 +193,14 @@ def test_curvature_series_branch_is_continuous():
         assert below == pytest.approx(mid, rel=2e-2)
         assert above == pytest.approx(mid, rel=2e-2)
         assert below == pytest.approx(float(curvature_oracle(0.000999, p)), rel=1e-9)
+
+
+def test_single_crossing_of_the_kernel_on_a_dense_grid():
+    ts = np.logspace(-4, math.log10(40.0), 10_000)
+    for p in (1.1, 1.2, 1.3):
+        values = np.array([curvature_kernel(float(t), p) for t in ts])
+        signs = np.sign(values)
+        assert np.count_nonzero(signs[:-1] != signs[1:]) == 1, p
 
 
 def test_curvature_at_zero():

@@ -295,7 +295,7 @@ def test_toader_memory_per_pair():
     t = 10.0 ** np.random.default_rng(RNG_SEED + 7).uniform(-10, 1.2, n)
     a, b = np.exp(-t), np.exp(t)
     kind = MeanKind("toader")
-    eval_mean(kind, a[:8], b[:8])  # builds the series table outside the count
+    eval_mean(kind, a[:8], b[:8])  # first-call setup (imports, caches) outside the count
     tracemalloc.start()
     try:
         eval_mean(kind, a, b)

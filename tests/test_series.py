@@ -1,109 +1,80 @@
-"""Single-sign-change detection and positive-root bracketing for series."""
+"""The exact certificate of the power-mean bounds of the sandor-yang mean."""
 
-import math
+import ast
+import inspect
+import time
 from fractions import Fraction
 
-import numpy as np
+import mpmath as mp
 import pytest
 
 from meanbounds import (
-    CoefficientSeq,
+    MeanKind,
     curvature_coefficient,
-    curvature_kernel,
-    detect_sign_change,
-    series_positive_root,
+    power_bound_certificate,
+    quadratic_coefficient,
+    series,
+    sharp_lower_exponent,
 )
+from meanbounds.series import CHAIN_EXPONENTS, LOG2_BOUNDS, PI_BOUNDS, _sign_pattern
 
 
-# --- sign-change detection ----------------------------------------------------
+def test_every_row_holds_within_a_second():
+    start = time.perf_counter()
+    rows = power_bound_certificate()
+    assert time.perf_counter() - start < 1.0
+    assert len(rows) == 9
+    for step, statement, holds in rows:
+        assert isinstance(step, str) and isinstance(statement, str)
+        assert holds is True, step
 
 
-def test_detects_the_simplest_pattern():
-    assert detect_sign_change([1.0, -1.0]) == 0
-    assert detect_sign_change([2.0, 1.0, -0.5, -3.0]) == 1
-    assert detect_sign_change([1.0, 0.0, -1.0]) == 0
+def test_the_bracket_of_p0_is_printed_exactly():
+    rows = {step: statement for step, statement, _ in power_bound_certificate()}
+    assert rows["p0 bracket"].startswith("734686/594843 < p0 < 391658/317079")
+    assert Fraction(734686, 594843) < Fraction(sharp_lower_exponent()) < Fraction(391658, 317079)
 
 
-def test_rejects_patterns_without_a_single_change():
-    assert detect_sign_change([1.0, 2.0, 3.0]) is None
-    assert detect_sign_change([-1.0, -2.0]) is None
-    assert detect_sign_change([1.0, -1.0, 1.0]) is None
-    assert detect_sign_change([0.0, -1.0]) is None
-    with pytest.raises(ValueError):
-        detect_sign_change([])
+def test_no_decision_uses_a_float():
+    # the module has no float literal, no float() and no math or numpy, and
+    # every bound it decides with is a Fraction
+    tree = ast.parse(inspect.getsource(series))
+    for node in ast.walk(tree):
+        assert not (isinstance(node, ast.Constant) and isinstance(node.value, float))
+        assert not (isinstance(node, ast.Name) and node.id == "float")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names] + [getattr(node, "module", None)]
+            assert not {"math", "numpy", "mpmath"} & set(names)
+    for value in PI_BOUNDS + LOG2_BOUNDS + CHAIN_EXPONENTS:
+        assert type(value) is Fraction
 
 
-def test_curvature_coefficients_have_the_pattern_inside_the_band():
-    for p in (1.05, 1.2, 1.3):
-        coeffs = [float(curvature_coefficient(n, p)) for n in range(1, 40)]
-        idx = detect_sign_change(coeffs)
-        assert idx is not None
-        assert coeffs[idx] > 0 and coeffs[idx + 1] <= 0
+def test_rational_enclosures_of_pi_and_log2():
+    with mp.workdps(50):
+        assert mp.mpf(PI_BOUNDS[0].numerator) / PI_BOUNDS[0].denominator < mp.pi
+        assert mp.pi < mp.mpf(PI_BOUNDS[1].numerator) / PI_BOUNDS[1].denominator
+        assert mp.mpf(LOG2_BOUNDS[0].numerator) / LOG2_BOUNDS[0].denominator < mp.log(2)
+        assert mp.log(2) < mp.mpf(LOG2_BOUNDS[1].numerator) / LOG2_BOUNDS[1].denominator
 
 
-def test_curvature_coefficients_at_the_sharp_exponent_have_no_positive_head():
-    # at p = 4/3 the leading coefficient vanishes and the rest are negative
-    coeffs = [float(curvature_coefficient(n, Fraction(4, 3))) for n in range(1, 40)]
-    assert detect_sign_change(coeffs) is None
+def test_sign_pattern_at_the_edges_of_the_band():
+    # undecided below 17/14, where the bound 17 - 14p on u_n, n >= 2, is positive
+    assert _sign_pattern(Fraction(6, 5)) is None
+    assert _sign_pattern(Fraction(4, 3)) == "-"
+    assert _sign_pattern(Fraction(17, 14)) is None
+    assert _sign_pattern(1.25) == "+-"
+    assert _sign_pattern(1) is None and _sign_pattern(Fraction(301, 100)) is None
 
 
-def test_sequence_wrapper_and_evaluation():
-    seq = CoefficientSeq.from_coeffs((1.0, 1.0, -1.0))
-    assert seq.sign_change_index == 1
-    assert seq(0.0) == 1.0
-    assert seq(2.0) == 1.0 + 2.0 - 4.0
-    with pytest.raises(ValueError):
-        CoefficientSeq.from_coeffs((1.0, 2.0))
+@pytest.mark.parametrize("p", [1.215, 1.23, 1.236, 1.33] + list(CHAIN_EXPONENTS), ids=str)
+def test_coefficients_have_the_promised_signs(p):
+    pattern = _sign_pattern(p)
+    assert pattern in ("+-", "-")
+    u = [curvature_coefficient(n, Fraction(p)) for n in range(1, 60)]
+    assert all(v < 0 for v in u[1:])
+    assert u[0] > 0 if pattern == "+-" else u[0] <= 0
 
 
-# --- positive-root bracketing --------------------------------------------------
-
-
-def test_root_of_linear_and_quadratic_prototypes():
-    seq = CoefficientSeq.from_coeffs((1.0, -1.0))
-    assert series_positive_root(seq, radius=10.0) == 1.0
-    golden = CoefficientSeq.from_coeffs((1.0, 1.0, -1.0))
-    phi = (1.0 + math.sqrt(5.0)) / 2.0
-    assert abs(series_positive_root(golden, radius=10.0) - phi) <= math.ulp(phi)
-
-
-def test_root_brackets_a_true_sign_change():
-    seq = CoefficientSeq.from_coeffs((2.0, 0.5, -0.25, -1.0))
-    root = series_positive_root(seq, radius=50.0)
-    assert seq(root * (1.0 - 1e-9)) > 0 > seq(root * (1.0 + 1e-9))
-
-
-def test_curvature_series_root_matches_direct_bisection():
-    # root of the kernel in the variable x = t^2, against bisection on the
-    # closed form in t
-    p = Fraction(6, 5)
-    coeffs = tuple(
-        float(curvature_coefficient(n, p) / math.factorial(2 * n)) for n in range(1, 45)
-    )
-    seq = CoefficientSeq.from_coeffs(coeffs)
-    t_series = math.sqrt(series_positive_root(seq, radius=40.0))
-
-    lo, hi = 0.5, 6.0
-    assert curvature_kernel(lo, float(p)) > 0 > curvature_kernel(hi, float(p))
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if curvature_kernel(mid, float(p)) > 0:
-            lo = mid
-        else:
-            hi = mid
-    t_direct = 0.5 * (lo + hi)
-    assert t_series == pytest.approx(t_direct, rel=1e-9)
-
-
-def test_single_crossing_of_the_kernel_on_a_dense_grid():
-    ts = np.logspace(-4, math.log10(40.0), 10_000)
-    for p in (1.1, 1.2, 1.3):
-        values = np.array([curvature_kernel(float(t), p) for t in ts])
-        signs = np.sign(values)
-        assert np.count_nonzero(signs[:-1] != signs[1:]) == 1, p
-
-
-def test_no_root_inside_radius_raises():
-    seq = CoefficientSeq.from_coeffs((1.0, 1.0, -1e-9))
-    with pytest.raises(ValueError, match="no sign change"):
-        series_positive_root(seq, radius=10.0)
+def test_library_c2_is_the_certified_one():
+    assert quadratic_coefficient(MeanKind("sandor-yang")) == float(Fraction(2, 3))
+    assert quadratic_coefficient(MeanKind.power(4.0 / 3.0)) == pytest.approx(2.0 / 3.0, rel=1e-15)

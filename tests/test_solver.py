@@ -20,7 +20,6 @@ from meanbounds import (
     literature_endpoints,
     log_gap,
     peak_ratio,
-    sharp_constants,
     sharp_factor,
     sharp_lower_exponent,
     slope_kernel,
@@ -83,12 +82,6 @@ def test_crossover_exponent_is_the_root_of_the_log_factor():
         else:
             hi = mid
     assert 0.5 * (lo + hi) == pytest.approx(P0, abs=1e-12)
-
-
-def test_sharp_constants_bundle():
-    bundle = sharp_constants()
-    assert bundle.p0 == sharp_lower_exponent()
-    assert bundle.q_upper == pytest.approx(4.0 / 3.0, rel=1e-15)
 
 
 def test_constants_table_rows():
