@@ -9,6 +9,11 @@ coefficients of the Toader mean; and an AGM evaluation of the complete
 elliptic integral of the second kind.  It also holds the four helpers the
 package shares: the scalar/array boundary of its public functions, the
 branch table of every piecewise evaluator, Horner's rule and bisection.
+
+An array call with more than _BLOCK = 2^15 elements runs in blocks of that
+size at the boundary, so that the temporaries of one call stay near 2 MiB at
+any size: they stay in cache, and their free no longer crosses glibc's heap
+trim threshold, which trimmed and regrew the heap on every large call.
 """
 
 from __future__ import annotations
@@ -21,6 +26,10 @@ import numpy as np
 
 LOG2 = math.log(2.0)
 
+# elements per block of a large array call (see _elementwise); 2^14 to 2^16
+# run at the same speed
+_BLOCK = 2**15
+
 
 def _elementwise(domain=None, arrays=1, lead=0):
     """The scalar/array boundary of every public elementwise function.
@@ -30,6 +39,12 @@ def _elementwise(domain=None, arrays=1, lead=0):
     "nonnegative"; NaN is neither).  When all of them are scalars it gets them
     as numpy float64 scalars and the result comes back as a float; otherwise
     it gets float arrays of at least one dimension and its array comes back.
+
+    When an array argument holds more than _BLOCK elements, the whole arrays
+    are checked first, then the function runs on consecutive _BLOCK-element
+    flat slices of the broadcast arguments and writes each result into one
+    output: one call's temporaries stay near 2 MiB at any size, in cache and
+    below malloc's trim threshold.  A one-element argument is passed as is.
     """
     check = {"positive": operator.gt, "nonnegative": operator.ge}.get(domain)
 
@@ -52,7 +67,19 @@ def _elementwise(domain=None, arrays=1, lead=0):
             arrs = [arr.reshape(1) if arr.ndim == 0 else arr for arr in arrs]
             if check and not all(check(arr.min(initial=math.inf), 0.0) for arr in arrs):
                 reject()
-            return fn(*args[:lead], *arrs, *args[lead + arrays :], **kwargs)
+            if max(arr.size for arr in arrs) <= _BLOCK:
+                return fn(*args[:lead], *arrs, *args[lead + arrays :], **kwargs)
+            out = np.empty(np.broadcast_shapes(*(arr.shape for arr in arrs)))
+            # views, except where a partly broadcast or strided argument copies
+            flats = [
+                arr.reshape(1) if arr.size == 1 else np.ravel(np.broadcast_to(arr, out.shape))
+                for arr in arrs
+            ]
+            flat_out = out.reshape(-1)
+            for i in range(0, out.size, _BLOCK):
+                blocks = [flat if flat.size == 1 else flat[i : i + _BLOCK] for flat in flats]
+                flat_out[i : i + _BLOCK] = fn(*args[:lead], *blocks, *args[lead + arrays :], **kwargs)
+            return out
 
         return boundary
 
@@ -83,10 +110,12 @@ def _piecewise(x, rows, *more):
     out = None
     for mask, count, (_, fn) in zip(masks, counts, rows):
         if count:
-            value = fn(x[mask], *[y[mask] for y in more]) if more else fn(x[mask])
+            # indices once per row: gathers and scatters by index beat the mask
+            idx = np.nonzero(mask)
+            value = fn(x[idx], *[y[idx] for y in more])
             if out is None:  # only now: the first row's temporaries are freed
                 out = np.empty_like(x)
-            out[mask] = value
+            out[idx] = value
     return out
 
 
@@ -95,7 +124,8 @@ def _horner(coeffs, x):
     # the first step from acc = 0, as x * 0.0 keeps the shape and NaNs of x
     acc = x * 0.0 + coeffs[-1]
     for c in coeffs[-2::-1]:
-        acc = acc * x + c
+        acc *= x  # in place: the same rounding as acc * x + c, no temporary
+        acc += c
     return acc
 
 

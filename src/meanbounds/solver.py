@@ -38,7 +38,7 @@ from .means import (
     log_mean_normalized,
     quadratic_coefficient,
 )
-from .numerics import _bisect, atan_tanh_ratio_m1
+from .numerics import _BLOCK, _bisect, atan_tanh_ratio_m1
 from .series import CHAIN_EXPONENTS
 
 # Grid used for "for all t" checks, per the solver design: 1e4 log-spaced
@@ -265,10 +265,11 @@ def peak_ratio(p: float) -> float:
 
 _CHAIN_EXPONENTS = tuple(map(float, CHAIN_EXPONENTS))
 
-# Pairs per block of a verify sweep: the chain holds 21 arrays of the block's
-# size at once (168 MB at 10^6 pairs), so blocks of 2^15 bound it near 6 MB;
-# 2^14 to 2^16 run at the same speed.
-_SWEEP_BLOCK = 32_768
+# Pairs per block of a verify sweep: the block of every large array call,
+# numerics._BLOCK = 2^15, so that no sweep block is split again.  The chain
+# holds 21 arrays of the block's size at once (168 MB at 10^6 pairs), so
+# blocks bound it near 6 MB.
+_SWEEP_BLOCK = _BLOCK
 
 
 def _chain_rows(t: np.ndarray) -> list[tuple[str, str, np.ndarray]]:

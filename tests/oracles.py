@@ -102,9 +102,9 @@ def slope_oracle(t, p):
 
     The two hyperbolic products grow like e^{2t}/4 while the result stays
     O(1), so the working precision is raised with t to keep 50 good digits
-    after the cancellation.
+    after the cancellation; never lowered below the caller's.
     """
-    with mp.workdps(60 + int(float(t))):
+    with mp.workdps(max(mp.mp.dps, 60 + int(float(t)))):
         t, p = mp.mpf(t), mp.mpf(p)
         return (
             -mp.atan(mp.tanh(t))

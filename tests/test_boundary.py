@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import meanbounds
+from meanbounds import numerics
 from meanbounds import (
     MeanKind,
     curvature_kernel,
@@ -26,6 +27,7 @@ from meanbounds import (
 )
 from meanbounds.means import PLAIN_TAGS
 from meanbounds.numerics import (
+    _BLOCK,
     _piecewise,
     atan_sinh_ratio_m1,
     atan_tanh_ratio_m1,
@@ -127,6 +129,84 @@ def test_scalar_results_equal_array_results_at_the_branch_cuts(name):
     np.testing.assert_array_equal(_bits(fn(t)), _bits(scalars))
 
 
+# the sizes around one and several blocks, a 2-D array of 3 blocks and a few
+# elements, and its transpose, which is not contiguous
+BLOCKED_SHAPES = [
+    (_BLOCK - 1,),
+    (_BLOCK,),
+    (_BLOCK + 1,),
+    (3 * _BLOCK + 7,),
+    (3, _BLOCK + 5),
+    (_BLOCK + 5, 3),
+]
+
+
+def _spread(shape, takes_zero):
+    """t log-uniform on [1e-12, 700] in the given shape, every branch cut first."""
+    n = math.prod(shape)
+    t = 10.0 ** np.random.default_rng(n).uniform(-12.0, math.log10(700.0), n)
+    cuts = CUTS if takes_zero else CUTS[CUTS > 0.0]
+    t[: cuts.size] = cuts
+    return t.reshape(shape[::-1]).T if shape[0] > shape[-1] else t.reshape(shape)
+
+
+@pytest.mark.parametrize("name", sorted(AT_CUTS))
+def test_blocked_array_results_equal_one_call_on_the_whole_array(name, monkeypatch):
+    fn, takes_zero = AT_CUTS[name]
+    for shape in BLOCKED_SHAPES:
+        t = _spread(shape, takes_zero)
+        blocked = fn(t)
+        with monkeypatch.context() as m:
+            m.setattr(numerics, "_BLOCK", math.inf)  # the undecorated function on all of t
+            whole = fn(t)
+        assert blocked.shape == whole.shape == shape and blocked.dtype == whole.dtype
+        np.testing.assert_array_equal(blocked.view(np.int64), whole.view(np.int64))
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=MeanKind.label)
+def test_a_blocked_call_broadcasts_a_scalar_argument(kind, monkeypatch):
+    a = 10.0 ** np.random.default_rng(5).uniform(-300.0, 300.0, (2, 2 * _BLOCK + 3))
+    for args in ((a, 2.5), (2.5, a), (a, a[:1])):
+        blocked = eval_mean(kind, *args)
+        with monkeypatch.context() as m:
+            m.setattr(numerics, "_BLOCK", math.inf)
+            whole = eval_mean(kind, *args)
+        assert blocked.shape == whole.shape == a.shape and blocked.dtype == whole.dtype
+        np.testing.assert_array_equal(blocked.view(np.int64), whole.view(np.int64))
+
+
+def _profiled(code, call, entries):
+    """Run call(), appending to entries each frame in which it enters code."""
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            entries.append(frame)
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+
+
+def test_a_bad_element_in_the_last_block_raises_before_any_block_runs():
+    good = np.full(3 * _BLOCK + 7, 2.0)
+    blocks = []
+    _profiled(log_gap_slope.__wrapped__.__code__, lambda: log_gap_slope(good, 1.2), blocks)
+    assert len(blocks) == 4
+    zero_last, negative_last = good.copy(), good.copy()
+    zero_last[-1], negative_last[-1] = 0.0, -1.0
+    for fn, call in (
+        (log_gap_slope, lambda: log_gap_slope(zero_last, 1.2)),
+        (log_mean_normalized, lambda: log_mean_normalized(MeanKind("toader"), negative_last)),
+        (eval_mean, lambda: eval_mean(MeanKind("sandor-yang"), good, zero_last)),
+    ):
+        blocks = []
+        with pytest.raises(ValueError, match="must be"):
+            _profiled(fn.__wrapped__.__code__, call, blocks)
+        assert blocks == []
+
+
 def _dead(x, *more):
     raise AssertionError("a row that holds no element ran")
 
@@ -141,26 +221,27 @@ def test_piecewise_runs_only_the_live_rows():
     rows = (
         (lambda x, y: x < 1.0, lambda x, y: x + y),
         (lambda x, y: x > 2.0, lambda x, y: x * y),
-        (None, lambda x, y: 0.0 * x),
+        (None, lambda x, y: x - y),
     )
-    np.testing.assert_array_equal(_piecewise(x, rows, 10.0), [10.5, 30.0, 0.0, 10.25])
+    np.testing.assert_array_equal(_piecewise(x, rows, 10.0), [10.5, 30.0, -8.5, 10.25])
     assert _piecewise(np.float64(0.5), rows, 10.0) == 10.5
+    # a 2-D x with `more` broadcast along its rows, against boolean-mask gathers
+    rng = np.random.default_rng(3)
+    x, y = rng.uniform(0.0, 3.0, (40, 50)), rng.uniform(1.0, 2.0, 50)
+    yy = np.broadcast_to(y, x.shape)
+    masks = [x < 1.0, x > 2.0]
+    masks.append(~(masks[0] | masks[1]))
+    want = np.empty_like(x)
+    for mask, (_, fn) in zip(masks, rows):
+        want[mask] = fn(x[mask], yy[mask])
+    np.testing.assert_array_equal(_piecewise(x, rows, y), want)
 
 
 def _boundary_entries(call):
     """How many times call() enters the scalar/array boundary."""
-    boundary = eval_mean.__code__  # the code object of every decorated function
     entries = []
-
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code is boundary:
-            entries.append(frame)
-
-    sys.setprofile(profile)
-    try:
-        call()
-    finally:
-        sys.setprofile(None)
+    # the code object of every decorated function
+    _profiled(eval_mean.__code__, call, entries)
     return len(entries)
 
 

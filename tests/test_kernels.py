@@ -170,8 +170,8 @@ def test_curvature_drives_slope_derivative():
 
 
 def test_slope_derivative_identity_to_high_precision():
-    # the identity above holds exactly: checked at 60 digits, 16 (t, p) points;
-    # f1 is spelled out, as slope_oracle would pin the precision mp.diff raises
+    # the identity above holds exactly: checked at 60 digits, 16 (t, p) points,
+    # with f1 spelled out apart from slope_oracle
     def f1(t, p):
         return -mp.atan(mp.tanh(t)) + mp.sinh(t) * (mp.cosh(t) - mp.tanh(p * t) * mp.sinh(t))
 
@@ -183,6 +183,16 @@ def test_slope_derivative_identity_to_high_precision():
                 closed = curvature_oracle(2 * t, p) / (4 * mp.cosh(2 * t) * mp.cosh(p * t) ** 2)
                 worst = max(worst, abs(derivative / closed - 1))
     assert worst < 1e-45
+
+
+def test_slope_oracle_keeps_the_callers_precision():
+    # mp.diff raises the precision it evaluates at; an oracle that pinned its
+    # own lower precision would return equal values on both sides, and 0.0
+    with mp.workdps(100):
+        t, p = mp.mpf("0.05"), mp.mpf("1.2")
+        derivative = mp.diff(lambda s: slope_oracle(s, p), t)
+        closed = curvature_oracle(2 * t, p) / (4 * mp.cosh(2 * t) * mp.cosh(p * t) ** 2)
+        assert abs(derivative / closed - 1) < mp.mpf("1e-40")
 
 
 def test_curvature_series_branch_is_continuous():
