@@ -11,13 +11,11 @@ from .kernels import (
 from .means import (
     MeanKind,
     eval_mean,
-    eval_mean_normalized,
     growth_offset,
     half_log_ratio,
     log_mean_normalized,
     parse_mean,
     quadratic_coefficient,
-    toader_mean,
 )
 from .series import power_bound_certificate
 from .solver import (
@@ -52,7 +50,6 @@ __all__ = [
     "curvature_coefficient",
     "curvature_kernel",
     "eval_mean",
-    "eval_mean_normalized",
     "find_witness",
     "gap_peak",
     "growth_offset",
@@ -70,7 +67,6 @@ __all__ = [
     "sharp_lower_exponent",
     "slope_kernel",
     "squeeze_margins",
-    "toader_mean",
     "verify_chain",
     "verify_seiffert_lehmer",
     "verify_squeeze",

@@ -54,7 +54,6 @@ from .numerics import (
     _logcosh,
     _logsinh,
     _piecewise,
-    atan_tanh,
 )
 
 _CURV_SERIES_RADIUS = 1e-3
@@ -88,7 +87,7 @@ def _slope_over_sinh2(t, p: float):
 def _slope_closed(t, p: float):
     with np.errstate(over="ignore"):
         core = np.exp(_logsinh(t) + _logcosh((p - 1.0) * t) - _logcosh(p * t))
-    return core - atan_tanh(t)
+    return core - np.arctan(np.tanh(t))
 
 
 @_elementwise("nonnegative")
@@ -158,10 +157,10 @@ def log_gap(t, p: float):
 
 
 def _slope_over_sinh2_far(t, p: float):
-    """cosh((p-1)t) / (cosh(pt) sinh t) - atan_tanh(t) / sinh^2 t in logs, for t > 350."""
+    """cosh((p-1)t) / (cosh(pt) sinh t) - arctan(tanh t) / sinh^2 t in logs, for t > 350."""
     log_sinh = _logsinh(t)
     core = np.exp(_logcosh((p - 1.0) * t) - _logcosh(p * t) - log_sinh)
-    return core - atan_tanh(t) * np.exp(-2.0 * log_sinh)
+    return core - np.arctan(np.tanh(t)) * np.exp(-2.0 * log_sinh)
 
 
 @_elementwise("positive")

@@ -262,12 +262,6 @@ def log_mean_normalized(kind: MeanKind, t):
     return _piecewise(t, ((lambda t: t == 0.0, np.zeros_like), (None, _lognorm(kind))))
 
 
-@_elementwise("nonnegative", lead=1)
-def eval_mean_normalized(kind: MeanKind, t):
-    """The mean on the normalized pair (e^-t, e^t); sqrt(ab) factored to 1."""
-    return np.exp(log_mean_normalized.__wrapped__(kind, t))
-
-
 @_elementwise("positive", arrays=2, lead=1)
 def eval_mean(kind: MeanKind, a, b):
     """Evaluate a mean on positive a, b.
@@ -299,12 +293,3 @@ def eval_mean(kind: MeanKind, a, b):
         (None, scaled),
     )
     return _piecewise(_half_log_ratio(a, b), rows, a, b)
-
-
-def toader_mean(a, b):
-    """The elliptic-integral mean (2/pi) int_0^{pi/2} sqrt(a^2 cos^2 + b^2 sin^2).
-
-    The Gauss-Kummer series for argument ratios below e^0.6, the AGM
-    evaluation of the complete elliptic integral at and beyond.
-    """
-    return eval_mean(MeanKind("toader"), a, b)

@@ -6,14 +6,16 @@ an ordinary array never splits; log sinh, with a far row past 20; the ratio
 arctan(y)/y - 1 at y = tanh x and y = sinh x, summed as its Taylor series in
 y below y = 0.1, where the direct quotient would cancel; the Gauss-Kummer
 coefficients of the Toader mean; and an AGM evaluation of the complete
-elliptic integral of the second kind.  It also holds the four helpers the
-package shares: the scalar/array boundary of its public functions, the
-branch table of every piecewise evaluator, Horner's rule and bisection.
+elliptic integral of the second kind.  It also holds the helpers the
+package shares: the scalar/array boundary of its public functions with its
+block cutter, the branch table of every piecewise evaluator, Horner's rule
+and bisection.
 
 An array call with more than _BLOCK = 2^15 elements runs in blocks of that
-size at the boundary, so that the temporaries of one call stay near 2 MiB at
-any size: they stay in cache, and their free no longer crosses glibc's heap
-trim threshold, which trimmed and regrew the heap on every large call.
+size at the boundary, cut by _blocks, so that the temporaries of one call
+stay near 2 MiB at any size: they stay in cache, and their free no longer
+crosses glibc's heap trim threshold, which trimmed and regrew the heap on
+every large call.  The verify sweeps cut their pairs with the same _blocks.
 """
 
 from __future__ import annotations
@@ -31,6 +33,25 @@ LOG2 = math.log(2.0)
 _BLOCK = 2**15
 
 
+def _blocks(*arrs):
+    """Consecutive _BLOCK-element flat slices of the broadcast arrays, as lists.
+
+    An array of the broadcast shape gives views, writable where it is, unless
+    it is strided and is copied once; a partly broadcast array is copied one
+    block at a time, so that its broadcast is never built whole; a
+    one-element array is passed as is in every block.
+    """
+    shape = np.broadcast_shapes(*(arr.shape for arr in arrs))
+    flats = [
+        arr.reshape(1)
+        if arr.size == 1
+        else np.ravel(arr) if arr.shape == shape else np.broadcast_to(arr, shape).flat
+        for arr in arrs
+    ]
+    for i in range(0, math.prod(shape), _BLOCK):
+        yield [flat if len(flat) == 1 else flat[i : i + _BLOCK] for flat in flats]
+
+
 def _elementwise(domain=None, arrays=1, lead=0):
     """The scalar/array boundary of every public elementwise function.
 
@@ -41,10 +62,10 @@ def _elementwise(domain=None, arrays=1, lead=0):
     it gets float arrays of at least one dimension and its array comes back.
 
     When an array argument holds more than _BLOCK elements, the whole arrays
-    are checked first, then the function runs on consecutive _BLOCK-element
-    flat slices of the broadcast arguments and writes each result into one
-    output: one call's temporaries stay near 2 MiB at any size, in cache and
-    below malloc's trim threshold.  A one-element argument is passed as is.
+    are checked first, then the function runs on each block that _blocks cuts
+    from the arguments and writes each result into one output: one call's
+    temporaries stay near 2 MiB at any size, in cache and below malloc's trim
+    threshold.
     """
     check = {"positive": operator.gt, "nonnegative": operator.ge}.get(domain)
 
@@ -70,15 +91,9 @@ def _elementwise(domain=None, arrays=1, lead=0):
             if max(arr.size for arr in arrs) <= _BLOCK:
                 return fn(*args[:lead], *arrs, *args[lead + arrays :], **kwargs)
             out = np.empty(np.broadcast_shapes(*(arr.shape for arr in arrs)))
-            # views, except where a partly broadcast or strided argument copies
-            flats = [
-                arr.reshape(1) if arr.size == 1 else np.ravel(np.broadcast_to(arr, out.shape))
-                for arr in arrs
-            ]
-            flat_out = out.reshape(-1)
-            for i in range(0, out.size, _BLOCK):
-                blocks = [flat if flat.size == 1 else flat[i : i + _BLOCK] for flat in flats]
-                flat_out[i : i + _BLOCK] = fn(*args[:lead], *blocks, *args[lead + arrays :], **kwargs)
+            # out is contiguous, so its slices are writable views of it
+            for out_block, *blocks in _blocks(out, *arrs):
+                out_block[...] = fn(*args[:lead], *blocks, *args[lead + arrays :], **kwargs)
             return out
 
         return boundary
@@ -186,11 +201,6 @@ _logcosh, _logsinh = logcosh.__wrapped__, logsinh.__wrapped__
 # -1.0 to machine precision long before the clip point, so clipping is exact.
 def _sinh_clipped(x):
     return np.sinh(np.minimum(x, 300.0))
-
-
-def atan_tanh(x):
-    """arctan(tanh(x)); saturates cleanly at pi/4."""
-    return np.arctan(np.tanh(x))
 
 
 # arctan(y)/y - 1 = sum_{k>=1} (-1)^k y^(2k)/(2k+1).  Below y = 0.1 the nine

@@ -38,7 +38,7 @@ from .means import (
     log_mean_normalized,
     quadratic_coefficient,
 )
-from .numerics import _BLOCK, _bisect, atan_tanh_ratio_m1
+from .numerics import _BLOCK, _bisect, _blocks, atan_tanh_ratio_m1
 from .series import CHAIN_EXPONENTS
 
 # Grid used for "for all t" checks, per the solver design: 1e4 log-spaced
@@ -100,18 +100,17 @@ def _mean_log_on_grid(kind: MeanKind) -> np.ndarray:
     return log_mean_normalized(kind, _grid())
 
 
-def _family_kind(family: str, p: float) -> MeanKind:
-    if family not in FAMILIES:
-        raise ValueError(f"unknown mean family '{family}'")
-    return MeanKind(family, p)
-
-
-def _limits_check(kind: MeanKind, family: str, side: str) -> Callable[[float], bool]:
-    """True iff c2 and omega of family member p admit it; -inf - -inf is NaN, which holds."""
+def _check_family_and_side(family: str, side: str) -> None:
+    """Reject an unknown side, then an unknown family."""
     if side not in SIDES:
         raise ValueError(f"unknown side '{side}'")
     if family not in FAMILIES:
         raise ValueError(f"unknown mean family '{family}'")
+
+
+def _limits_check(kind: MeanKind, family: str, side: str) -> Callable[[float], bool]:
+    """True iff c2 and omega of family member p admit it; -inf - -inf is NaN, which holds."""
+    _check_family_and_side(family, side)
     _, c2, omega = _FAMILIES[family]
     mean_c2 = quadratic_coefficient(kind)
     mean_om = growth_offset(kind)
@@ -168,10 +167,9 @@ def find_witness(kind: MeanKind, family: str, param: float, side: str) -> Option
     is a grid point violating it by more than the tie tolerance.  Absence of
     a witness is a valid result (the grid covers t in [1e-6, 50] only).
     """
-    if side not in SIDES:
-        raise ValueError(f"unknown side '{side}'")
+    _check_family_and_side(family, side)
     grid = _grid()
-    gap = log_mean_normalized(_family_kind(family, param), grid) - _mean_log_on_grid(kind)
+    gap = log_mean_normalized(MeanKind(family, param), grid) - _mean_log_on_grid(kind)
     if side == "upper":
         gap = -gap
     worst = int(np.argmax(gap))
@@ -265,10 +263,10 @@ def peak_ratio(p: float) -> float:
 
 _CHAIN_EXPONENTS = tuple(map(float, CHAIN_EXPONENTS))
 
-# Pairs per block of a verify sweep: the block of every large array call,
-# numerics._BLOCK = 2^15, so that no sweep block is split again.  The chain
-# holds 21 arrays of the block's size at once (168 MB at 10^6 pairs), so
-# blocks bound it near 6 MB.
+# Pairs per block of a verify sweep: numerics._blocks cuts the sweep into the
+# blocks of every large array call, numerics._BLOCK = 2^15, so that no sweep
+# block is split again.  The chain holds 21 arrays of the block's size at
+# once (168 MB at 10^6 pairs), so blocks bound it near 6 MB.
 _SWEEP_BLOCK = _BLOCK
 
 
@@ -321,11 +319,9 @@ def _holds_at_every_pair(a, b, name: str, holds: Callable[[np.ndarray], bool]) -
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if np.isinf(a).any() or np.isinf(b).any():  # before (inf, inf) turns t into NaN
         raise ValueError(f"{name} verification requires finite arguments")
-    # .flat copies only the block; ravel() of a broadcast scalar copies it all
-    a, b = np.broadcast_arrays(a, b)
     ok = True
-    for i in range(0, a.size, _SWEEP_BLOCK):
-        t = half_log_ratio(a.flat[i : i + _SWEEP_BLOCK], b.flat[i : i + _SWEEP_BLOCK])
+    for a_block, b_block in _blocks(a, b):
+        t = half_log_ratio(a_block, b_block)
         if np.any(t == 0.0):  # exactly the equal pairs
             raise ValueError(f"{name} verification requires distinct arguments")
         # no early exit: an equal pair in a later block must still raise

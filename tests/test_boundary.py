@@ -7,6 +7,7 @@ its live branch and passes the scalar/array boundary once.
 
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from meanbounds import (
     MeanKind,
     curvature_kernel,
     eval_mean,
-    eval_mean_normalized,
     half_log_ratio,
     log_gap,
     log_gap_slope,
@@ -44,7 +44,6 @@ FUNCTIONS = {
     "eval_mean": lambda x: eval_mean(MeanKind("sandor-yang"), x, 2.5),
     # the series below t = 0.3 (x = 3) and the AGM above
     "eval_mean_toader": lambda x: eval_mean(MeanKind("toader"), x, 2.5),
-    "eval_mean_normalized": lambda x: eval_mean_normalized(MeanKind("yang"), x),
     "half_log_ratio": lambda x: half_log_ratio(x, 1.0),
     "log_mean_normalized": lambda x: log_mean_normalized(MeanKind("log"), x),
     "slope_kernel": lambda x: slope_kernel(x, 1.2),
@@ -207,6 +206,19 @@ def test_a_bad_element_in_the_last_block_raises_before_any_block_runs():
         assert blocks == []
 
 
+def test_keyword_array_arguments_pass_the_domain_check():
+    with pytest.raises(ValueError, match="must be positive"):
+        half_log_ratio(a=-1.0, b=2.0)
+    with pytest.raises(ValueError, match="must be positive"):
+        eval_mean(MeanKind("arithmetic"), 1.0, b=np.array([3.0, 0.0]))
+    kind = MeanKind("arithmetic")
+    # sqrt(3) cosh(log 3 / 2) rounds to one ulp below 2
+    assert eval_mean(kind, a=1.0, b=3.0) == eval_mean(kind, 1.0, 3.0) == pytest.approx(2.0)
+    assert eval_mean(kind, a=2.0, b=4.0) == 3.0
+    by_keyword = eval_mean(kind, 1.0, b=np.array([3.0]))
+    np.testing.assert_array_equal(by_keyword, [eval_mean(kind, 1.0, 3.0)])
+
+
 def _dead(x, *more):
     raise AssertionError("a row that holds no element ran")
 
@@ -250,7 +262,6 @@ def test_a_scalar_call_enters_the_boundary_once(t):
     for kind in KINDS:
         assert _boundary_entries(lambda: eval_mean(kind, 0.3, 0.3 * math.exp(2.0 * t))) == 1
         assert _boundary_entries(lambda: log_mean_normalized(kind, t)) == 1
-        assert _boundary_entries(lambda: eval_mean_normalized(kind, t)) == 1
     for fn in (slope_kernel, curvature_kernel, log_gap, log_gap_slope):
         assert _boundary_entries(lambda: fn(t, 1.2)) == 1
 
@@ -270,7 +281,7 @@ def test_gap_peak_stops_bisecting_at_a_fixed_point(monkeypatch):
 
 
 def test_public_names_are_pinned():
-    # 32 names plus __version__; a new or lost public name fails here
+    # 30 names plus __version__; a new or lost public name fails here
     assert sorted(meanbounds.__all__) == [
         "EndpointReport",
         "MeanKind",
@@ -283,7 +294,6 @@ def test_public_names_are_pinned():
         "curvature_coefficient",
         "curvature_kernel",
         "eval_mean",
-        "eval_mean_normalized",
         "find_witness",
         "gap_peak",
         "growth_offset",
@@ -301,8 +311,25 @@ def test_public_names_are_pinned():
         "sharp_lower_exponent",
         "slope_kernel",
         "squeeze_margins",
-        "toader_mean",
         "verify_chain",
         "verify_seiffert_lehmer",
         "verify_squeeze",
     ]
+
+
+def test_readme_library_tour_runs():
+    # every public name the README shows must exist and give the value it prints
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    tour = text.split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(tour, namespace)
+    printed = 0
+    for line in tour.splitlines():
+        code, _, comment = line.partition("#")
+        try:
+            value = float(comment)
+        except ValueError:
+            continue
+        assert eval(code, namespace) == value, line
+        printed += 1
+    assert printed >= 3

@@ -285,6 +285,18 @@ def test_target_profile_cache_is_bounded():
     assert _mean_log_on_grid.cache_info().currsize <= 32
 
 
+def test_unknown_family_is_rejected():
+    kind = MeanKind("sandor-yang")
+    for family in ("geometric", "holder"):
+        with pytest.raises(ValueError, match="unknown mean family"):
+            find_witness(kind, family, 1.0, "lower")
+        with pytest.raises(ValueError, match="unknown mean family"):
+            best_exponent(kind, family, "upper")
+    # the side is checked first
+    with pytest.raises(ValueError, match="unknown side"):
+        find_witness(kind, "geometric", 1.0, "middle")
+
+
 def test_witness_side_validation(monkeypatch):
     with pytest.raises(ValueError):
         find_witness(MeanKind("sandor-yang"), "power", 1.0, "middle")
@@ -320,6 +332,10 @@ def test_chain_on_sample_pairs():
         assert result == all(verify_chain(float(u), float(v)) for u, v in np.broadcast(x, y))
     with pytest.raises(ValueError):
         verify_chain(a, np.append(b[:-1], 0.3))
+    late = np.full(solver._SWEEP_BLOCK + 1, 3.0)
+    late[-1] = 1.0  # an equal pair in the second block of the sweep
+    with pytest.raises(ValueError, match="requires distinct arguments"):
+        verify_chain(1.0, late)
     # the sweep's memory stays at one block of pairs, whatever their number
     b = np.exp(2.0 * np.logspace(-10, math.log10(13.8), 10**6))
     tracemalloc.start()
@@ -380,6 +396,18 @@ def test_squeeze_on_pairs():
         assert result == all(verify_squeeze(float(u), float(v)) for u, v in np.broadcast(x, y))
     with pytest.raises(ValueError):
         verify_squeeze(a, np.append(b[:-1], 4.0))
+    late = np.full(solver._SWEEP_BLOCK + 1, 3.0)
+    late[-1] = 1.0  # an equal pair in the second block of the sweep
+    with pytest.raises(ValueError, match="requires distinct arguments"):
+        verify_squeeze(1.0, late)
+    # a 2-D broadcast of more pairs than one sweep block
+    rng = np.random.default_rng(20260814)
+    a = 10.0 ** rng.uniform(-3.0, 3.0, 40)
+    b = 10.0 ** rng.uniform(-3.0, 3.0, 1000)
+    assert a.size * b.size > solver._SWEEP_BLOCK
+    result = verify_squeeze(a[:, None], b[None, :])
+    assert type(result) is bool
+    assert result == all(verify_squeeze(float(x), b) for x in a)
 
 
 def test_verifiers_reject_infinite_arguments():
