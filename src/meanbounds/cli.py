@@ -17,6 +17,7 @@ import numpy as np
 from . import solver
 from .kernels import curvature_kernel, log_gap, slope_kernel
 from .means import eval_mean, parse_mean
+from .numerics import _BLOCK
 
 _TRACEABLE = {
     "log-gap": log_gap,
@@ -96,8 +97,8 @@ def _cmd_verify(args) -> int:
     # t log-uniform on [5e-11, 13.8]; the pair (1, e^{2t}) has half log ratio t.
     # Drawn per sweep block: the same stream as one draw, in bounded memory
     ok = True
-    for start in range(0, args.pairs, solver._SWEEP_BLOCK):
-        n = min(solver._SWEEP_BLOCK, args.pairs - start)
+    for start in range(0, args.pairs, _BLOCK):
+        n = min(_BLOCK, args.pairs - start)
         ok = check(1.0, np.exp(2.0 * 10.0 ** rng.uniform(-10.3, math.log10(13.8), n))) and ok
     print(f"pairs,{args.pairs}")
     print(f"result,{'pass' if ok else 'FAIL'}")

@@ -235,31 +235,25 @@ PLAIN_TAGS = tuple(_PLAIN)
 PARAMETRIC_TAGS = tuple(_FAMILIES)
 
 
-def _lognorm(kind: MeanKind):
-    """The evaluator of log m(t) for t > 0."""
-    if kind.param is None:
-        return _PLAIN[kind.tag][0]
-    return partial(_FAMILIES[kind.tag][0], kind.param)
+def _row(kind: MeanKind):
+    """The (evaluator of log m(t) for t > 0, c2, omega) row of a mean."""
+    return _PLAIN[kind.tag] if kind.param is None else _member(kind.tag, kind.param)
 
 
 def quadratic_coefficient(kind: MeanKind) -> float:
     """c2 with log m(t) = c2 * t^2 + O(t^4) as t -> 0."""
-    if kind.param is None:
-        return _PLAIN[kind.tag][1]
-    return _FAMILIES[kind.tag][1](kind.param)
+    return _row(kind)[1]
 
 
 def growth_offset(kind: MeanKind) -> float:
     """lim_{t->inf} (log m(t) - t); -inf when the mean grows slower than e^t."""
-    if kind.param is None:
-        return _PLAIN[kind.tag][2]
-    return _FAMILIES[kind.tag][2](kind.param)
+    return _row(kind)[2]
 
 
 @_elementwise("nonnegative", lead=1)
 def log_mean_normalized(kind: MeanKind, t):
     """log of the mean evaluated on the pair (e^-t, e^t), elementwise."""
-    return _piecewise(t, ((lambda t: t == 0.0, np.zeros_like), (None, _lognorm(kind))))
+    return _piecewise(t, ((lambda t: t == 0.0, np.zeros_like), (None, _row(kind)[0])))
 
 
 @_elementwise("positive", arrays=2, lead=1)
@@ -275,7 +269,7 @@ def eval_mean(kind: MeanKind, a, b):
     if kind.tag == "power" and math.isinf(kind.param):
         return np.maximum(a, b) if kind.param > 0 else np.minimum(a, b)
 
-    lognorm = _lognorm(kind)
+    lognorm = _row(kind)[0]
 
     def scaled(t, a, b):
         # log m first, so that sqrt(ab) is not held while it is evaluated

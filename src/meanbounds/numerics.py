@@ -11,11 +11,12 @@ package shares: the scalar/array boundary of its public functions with its
 block cutter, the branch table of every piecewise evaluator, Horner's rule
 and bisection.
 
-An array call with more than _BLOCK = 2^15 elements runs in blocks of that
-size at the boundary, cut by _blocks, so that the temporaries of one call
-stay near 2 MiB at any size: they stay in cache, and their free no longer
-crosses glibc's heap trim threshold, which trimmed and regrew the heap on
-every large call.  The verify sweeps cut their pairs with the same _blocks.
+An array call whose broadcast holds more than _BLOCK = 2^15 elements runs
+in blocks of that size at the boundary, cut by _blocks, so that the
+temporaries of one call stay near 2 MiB at any size: they stay in cache,
+and their free no longer crosses glibc's heap trim threshold, which trimmed
+and regrew the heap on every large call.  The verify sweeps cut their
+pairs with the same _blocks.
 """
 
 from __future__ import annotations
@@ -61,11 +62,11 @@ def _elementwise(domain=None, arrays=1, lead=0):
     as numpy float64 scalars and the result comes back as a float; otherwise
     it gets float arrays of at least one dimension and its array comes back.
 
-    When an array argument holds more than _BLOCK elements, the whole arrays
-    are checked first, then the function runs on each block that _blocks cuts
-    from the arguments and writes each result into one output: one call's
-    temporaries stay near 2 MiB at any size, in cache and below malloc's trim
-    threshold.
+    When the broadcast of the array arguments holds more than _BLOCK
+    elements, the whole arrays are checked first, then the function runs on
+    each block that _blocks cuts from the arguments and writes each result
+    into one output: one call's temporaries stay near 2 MiB at any size, in
+    cache and below malloc's trim threshold.
     """
     check = {"positive": operator.gt, "nonnegative": operator.ge}.get(domain)
 
@@ -88,9 +89,10 @@ def _elementwise(domain=None, arrays=1, lead=0):
             arrs = [arr.reshape(1) if arr.ndim == 0 else arr for arr in arrs]
             if check and not all(check(arr.min(initial=math.inf), 0.0) for arr in arrs):
                 reject()
-            if max(arr.size for arr in arrs) <= _BLOCK:
+            broadcast = np.broadcast(*arrs)
+            if broadcast.size <= _BLOCK:
                 return fn(*args[:lead], *arrs, *args[lead + arrays :], **kwargs)
-            out = np.empty(np.broadcast_shapes(*(arr.shape for arr in arrs)))
+            out = np.empty(broadcast.shape)
             # out is contiguous, so its slices are writable views of it
             for out_block, *blocks in _blocks(out, *arrs):
                 out_block[...] = fn(*args[:lead], *blocks, *args[lead + arrays :], **kwargs)

@@ -38,7 +38,7 @@ from .means import (
     log_mean_normalized,
     quadratic_coefficient,
 )
-from .numerics import _BLOCK, _bisect, _blocks, atan_tanh_ratio_m1
+from .numerics import _bisect, _blocks, atan_tanh_ratio_m1
 from .series import CHAIN_EXPONENTS
 
 # Grid used for "for all t" checks, per the solver design: 1e4 log-spaced
@@ -263,12 +263,6 @@ def peak_ratio(p: float) -> float:
 
 _CHAIN_EXPONENTS = tuple(map(float, CHAIN_EXPONENTS))
 
-# Pairs per block of a verify sweep: numerics._blocks cuts the sweep into the
-# blocks of every large array call, numerics._BLOCK = 2^15, so that no sweep
-# block is split again.  The chain holds 21 arrays of the block's size at
-# once (168 MB at 10^6 pairs), so blocks bound it near 6 MB.
-_SWEEP_BLOCK = _BLOCK
-
 
 def _chain_rows(t: np.ndarray) -> list[tuple[str, str, np.ndarray]]:
     """(label, expression, log value at t) of the eleven chain members, ascending."""
@@ -360,29 +354,26 @@ def verify_seiffert_lehmer() -> dict:
     (2^{8/5}/pi) M_{5/3} < T, and the interlacing
     (2^{8/5}/pi) M_{5/3} > (2/pi) L_{1/3}.
     """
-    grid = _grid()
-    t_log = _mean_log_on_grid(MeanKind("second-seiffert"))
-    l_third = log_mean_normalized(MeanKind.lehmer(1.0 / 3.0), grid)
-    l_zero = log_mean_normalized(MeanKind.lehmer(0.0), grid)
-    m_53 = log_mean_normalized(MeanKind.power(5.0 / 3.0), grid)
+    two_pi, four_pi, c53 = 2.0 / math.pi, 4.0 / math.pi, 2.0 ** (8.0 / 5.0) / math.pi
+    seiffert = MeanKind("second-seiffert")
+    l_third, l_zero = MeanKind.lehmer(1.0 / 3.0), MeanKind.lehmer(0.0)
+    m_53 = MeanKind.power(5.0 / 3.0)
 
-    t40 = log_mean_normalized(MeanKind("second-seiffert"), 40.0)
-    ratio_third = math.exp(t40 - log_mean_normalized(MeanKind.lehmer(1.0 / 3.0), 40.0))
-    ratio_zero = math.exp(t40 - log_mean_normalized(MeanKind.lehmer(0.0), 40.0))
-
-    two_pi = 2.0 / math.pi
-    four_pi = 4.0 / math.pi
-    c53 = 2.0 ** (8.0 / 5.0) / math.pi
-    results = {
-        "limit_third": ratio_third,
-        "limit_zero": ratio_zero,
-        "limit_third_ok": abs(ratio_third - two_pi) <= 1e-6,
-        "limit_zero_ok": abs(ratio_zero - four_pi) <= 1e-6,
-        "lower_grid_ok": bool(np.all(math.log(two_pi) + l_third <= t_log + TIE)),
-        "upper_grid_ok": bool(np.all(t_log <= math.log(four_pi) + l_zero + TIE)),
-        "power_53_ok": bool(np.all(math.log(c53) + m_53 <= t_log + TIE)),
-        "interlace_ok": bool(np.all(math.log(two_pi) + l_third <= math.log(c53) + m_53 + TIE)),
-    }
+    results = {}
+    t40 = log_mean_normalized(seiffert, 40.0)
+    for name, lehmer, limit in (("third", l_third, two_pi), ("zero", l_zero, four_pi)):
+        ratio = math.exp(t40 - log_mean_normalized(lehmer, 40.0))
+        results[f"limit_{name}"] = ratio
+        results[f"limit_{name}_ok"] = abs(ratio - limit) <= 1e-6
+    # (key, c, lower mean, d, upper mean): c * lower <= d * upper on the grid
+    for key, c, lower, d, upper in (
+        ("lower_grid_ok", two_pi, l_third, 1.0, seiffert),
+        ("upper_grid_ok", 1.0, seiffert, four_pi, l_zero),
+        ("power_53_ok", c53, m_53, 1.0, seiffert),
+        ("interlace_ok", two_pi, l_third, c53, m_53),
+    ):
+        low = math.log(c) + _mean_log_on_grid(lower)
+        results[key] = bool(np.all(low <= math.log(d) + _mean_log_on_grid(upper) + TIE))
     results["ok"] = all(v for k, v in results.items() if k.endswith("_ok"))
     return results
 

@@ -165,12 +165,14 @@ def test_blocked_array_results_equal_one_call_on_the_whole_array(name, monkeypat
 @pytest.mark.parametrize("kind", KINDS, ids=MeanKind.label)
 def test_a_blocked_call_broadcasts_a_scalar_argument(kind, monkeypatch):
     a = 10.0 ** np.random.default_rng(5).uniform(-300.0, 300.0, (2, 2 * _BLOCK + 3))
-    for args in ((a, 2.5), (2.5, a), (a, a[:1])):
+    x, y = a[0, :300], a[1, :300]  # a broadcast of 9e4 pairs from two small arguments
+    for args in ((a, 2.5), (2.5, a), (a, a[:1]), (x[:, None], y[None, :])):
         blocked = eval_mean(kind, *args)
         with monkeypatch.context() as m:
             m.setattr(numerics, "_BLOCK", math.inf)
             whole = eval_mean(kind, *args)
-        assert blocked.shape == whole.shape == a.shape and blocked.dtype == whole.dtype
+        shape = np.broadcast(*args).shape
+        assert blocked.shape == whole.shape == shape and blocked.dtype == whole.dtype
         np.testing.assert_array_equal(blocked.view(np.int64), whole.view(np.int64))
 
 

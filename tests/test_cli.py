@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from meanbounds import cli, solver
+from meanbounds import cli, numerics
 
 P0 = 1.2351702290504027
 T0 = 0.93728564929146117
@@ -37,6 +37,33 @@ def test_eval_toader(capsys):
     code, out, _ = run(capsys, "eval", "--mean", "toader", "--a", "1", "--b", "2")
     assert code == 0
     assert float(out) == pytest.approx(1.5419644251900402, rel=1e-14)
+
+
+# stdout of `eval` at an ordinary and an extreme pair, frozen from the
+# current evaluators: any change to a mean's digits shows here
+EVAL_STDOUT = {
+    "harmonic": ("0.696331738437001", "1.99999999999996e-200"),
+    "geometric": ("1.47749788493926", "1"),
+    "arithmetic": ("3.135", "5.0000000000001e+199"),
+    "quadratic": ("4.18012559619923", "7.07106781186583e+199"),
+    "log": ("1.99696329825632", "1.08573620475812e+197"),
+    "identric": ("2.61230682759988", "3.6787944117145e+199"),
+    "first-seiffert": ("2.56008527648321", "3.18309886183793e+199"),
+    "second-seiffert": ("3.82556891080033", "6.36619772367587e+199"),
+    "neuman-sandor": ("3.47619079321379", "5.67296328553251e+199"),
+    "yang": ("3.23290526781128", "4.50158158078544e+199"),
+    "sandor": ("2.05393519544573", "1.83939720585725e+199"),
+    "toader": ("3.78308923460291", "6.36619772367587e+199"),
+    "sandor-yang": ("3.48974005293096", "5.70538043804394e+199"),
+    "power:1.7": ("3.94521834081495", "6.65156029099102e+199"),
+    "lehmer:0.5": ("4.79250211506074", "1.00000000000014e+200"),
+}
+
+
+@pytest.mark.parametrize("mean", sorted(EVAL_STDOUT))
+def test_eval_stdout_is_pinned(capsys, mean):
+    for (a, b), out in zip((("0.37", "5.9"), ("1e-200", "1e200")), EVAL_STDOUT[mean]):
+        assert run(capsys, "eval", "--mean", mean, "--a", a, "--b", b) == (0, out + "\n", "")
 
 
 # --- endpoint ---------------------------------------------------------------
@@ -223,7 +250,7 @@ def _verify_peak_bytes(capsys, pairs):
 def test_verify_sweep_memory_is_bounded_in_pairs(capsys):
     # pairs are drawn per sweep block, so 4x the pairs keeps the peak
     run(capsys, "verify", "--which", "chain", "--pairs", "100")  # first-use caches
-    block = solver._SWEEP_BLOCK
+    block = numerics._BLOCK
     assert _verify_peak_bytes(capsys, 16 * block) <= 1.2 * _verify_peak_bytes(capsys, 4 * block)
 
 

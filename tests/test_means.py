@@ -311,19 +311,20 @@ def test_toader_memory_per_pair():
 def test_bulk_working_memory_is_bounded(kind):
     # large arrays run in blocks of 2^15: beyond the output, a call's
     # temporaries stay near 2 MiB at any n instead of growing with it, also
-    # when a scalar argument is broadcast
+    # when a scalar argument is broadcast, and when the broadcast of two
+    # small arguments, not either argument, is large
     n = 2**19
     t = 10.0 ** np.random.default_rng(RNG_SEED + 9).uniform(-10, 1.2, n)
     a, b = np.exp(-t), np.exp(t)
     eval_mean(kind, a[:8], b[:8])  # first-call setup (imports, caches) outside the count
-    for args in ((a, b), (a, 2.5)):
+    for args in ((a, b), (a, 2.5), (a[:1000, None], b[None, :1000])):
         tracemalloc.start()
         try:
             eval_mean(kind, *args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - 8 * n <= 4 * 2**20
+        assert peak - 8 * np.broadcast(*args).size <= 4 * 2**20
 
 
 def test_toader_near_equal_arguments_collapse_to_arithmetic():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from oracles import mean_oracle
 
-from meanbounds import solver
+from meanbounds import numerics, solver
 from meanbounds import (
     MeanKind,
     best_exponent,
@@ -19,6 +19,7 @@ from meanbounds import (
     gap_peak,
     literature_endpoints,
     log_gap,
+    log_mean_normalized,
     peak_ratio,
     sharp_factor,
     sharp_lower_exponent,
@@ -332,7 +333,7 @@ def test_chain_on_sample_pairs():
         assert result == all(verify_chain(float(u), float(v)) for u, v in np.broadcast(x, y))
     with pytest.raises(ValueError):
         verify_chain(a, np.append(b[:-1], 0.3))
-    late = np.full(solver._SWEEP_BLOCK + 1, 3.0)
+    late = np.full(numerics._BLOCK + 1, 3.0)
     late[-1] = 1.0  # an equal pair in the second block of the sweep
     with pytest.raises(ValueError, match="requires distinct arguments"):
         verify_chain(1.0, late)
@@ -396,7 +397,7 @@ def test_squeeze_on_pairs():
         assert result == all(verify_squeeze(float(u), float(v)) for u, v in np.broadcast(x, y))
     with pytest.raises(ValueError):
         verify_squeeze(a, np.append(b[:-1], 4.0))
-    late = np.full(solver._SWEEP_BLOCK + 1, 3.0)
+    late = np.full(numerics._BLOCK + 1, 3.0)
     late[-1] = 1.0  # an equal pair in the second block of the sweep
     with pytest.raises(ValueError, match="requires distinct arguments"):
         verify_squeeze(1.0, late)
@@ -404,14 +405,14 @@ def test_squeeze_on_pairs():
     rng = np.random.default_rng(20260814)
     a = 10.0 ** rng.uniform(-3.0, 3.0, 40)
     b = 10.0 ** rng.uniform(-3.0, 3.0, 1000)
-    assert a.size * b.size > solver._SWEEP_BLOCK
+    assert a.size * b.size > numerics._BLOCK
     result = verify_squeeze(a[:, None], b[None, :])
     assert type(result) is bool
     assert result == all(verify_squeeze(float(x), b) for x in a)
 
 
 def test_verifiers_reject_infinite_arguments():
-    late = np.full(solver._SWEEP_BLOCK + 1, 3.0)
+    late = np.full(numerics._BLOCK + 1, 3.0)
     late[-1] = math.inf  # in the second block of the sweep
     for verify in (verify_chain, verify_squeeze):
         for a, b in ((1.0, math.inf), (math.inf, 2.0), (math.inf, math.inf), (1.0, late)):
@@ -433,3 +434,29 @@ def test_seiffert_lehmer_verification():
         "interlace_ok",
     ):
         assert results[key], key
+
+
+def test_seiffert_lehmer_verification_equals_a_direct_evaluation():
+    # each check written out on the grid, as in the inequalities it states
+    grid = solver._grid()
+    t_log = log_mean_normalized(MeanKind("second-seiffert"), grid)
+    l_third = log_mean_normalized(MeanKind.lehmer(1.0 / 3.0), grid)
+    l_zero = log_mean_normalized(MeanKind.lehmer(0.0), grid)
+    m_53 = log_mean_normalized(MeanKind.power(5.0 / 3.0), grid)
+    t40 = log_mean_normalized(MeanKind("second-seiffert"), 40.0)
+    ratio_third = math.exp(t40 - log_mean_normalized(MeanKind.lehmer(1.0 / 3.0), 40.0))
+    ratio_zero = math.exp(t40 - log_mean_normalized(MeanKind.lehmer(0.0), 40.0))
+    two_pi, four_pi, c53 = 2.0 / math.pi, 4.0 / math.pi, 2.0 ** (8.0 / 5.0) / math.pi
+    tie = solver.TIE
+    expected = {
+        "limit_third": ratio_third,
+        "limit_zero": ratio_zero,
+        "limit_third_ok": abs(ratio_third - two_pi) <= 1e-6,
+        "limit_zero_ok": abs(ratio_zero - four_pi) <= 1e-6,
+        "lower_grid_ok": bool(np.all(math.log(two_pi) + l_third <= t_log + tie)),
+        "upper_grid_ok": bool(np.all(t_log <= math.log(four_pi) + l_zero + tie)),
+        "power_53_ok": bool(np.all(math.log(c53) + m_53 <= t_log + tie)),
+        "interlace_ok": bool(np.all(math.log(two_pi) + l_third <= math.log(c53) + m_53 + tie)),
+        "ok": True,
+    }
+    assert verify_seiffert_lehmer() == expected
