@@ -54,6 +54,7 @@ from .numerics import (
     _logcosh,
     _logsinh,
     _piecewise,
+    _square,
 )
 
 _CURV_SERIES_RADIUS = 1e-3
@@ -90,6 +91,12 @@ def _slope_closed(t, p: float):
     return core - np.arctan(np.tanh(t))
 
 
+_SLOPE_ROWS = (
+    (lambda t, p: t < _ATAN_SERIES_Y, lambda t, p: _square(np.sinh(t)) * _slope_over_sinh2(t, p)),
+    (None, _slope_closed),
+)
+
+
 @_elementwise("nonnegative")
 def slope_kernel(t, p: float):
     """f(t) = -arctan(tanh t) + sinh(t) cosh(t) - tanh(pt) sinh^2(t).
@@ -97,50 +104,44 @@ def slope_kernel(t, p: float):
     Continuous extension 0 at t = 0; behaves like (4/3 - p) t^3 near zero and
     tends to 1/2 - pi/4 as t -> infinity when p > 1.
     """
-    p = float(p)
-    rows = (
-        (lambda t: t < _ATAN_SERIES_Y, lambda t: np.square(np.sinh(t)) * _slope_over_sinh2(t, p)),
-        (None, lambda t: _slope_closed(t, p)),
-    )
-    return _piecewise(t, rows)
+    return _piecewise(t, _SLOPE_ROWS, float(p))
+
+
+def _curv_terms(p: float):
+    """The (w, k) of the curvature kernel's terms w cosh(k t)."""
+    return ((1.0, p - 2.0), (-1.0, p), (1.0 - p, 2.0), (2.0 * p, 1.0))
+
+
+def _curv_series(t, p: float):
+    x = _square(t)
+    ns = range(1, _CURV_SERIES_TERMS + 1)
+    coeffs = [curvature_coefficient(n, p) / math.factorial(2 * n) for n in ns]
+    return _horner(coeffs, x) * x
+
+
+def _curv_far(t, p: float):
+    # rate t > 350 here, so the kernel is sum w e^(|k| t)/2 to within
+    # e^-350; summed relative to e^(rate t), it turns +/-inf past DBL_MAX
+    live = [(w, abs(k)) for w, k in _curv_terms(p) if w != 0.0]
+    rate = max(k for _, k in live)
+    scaled = sum(0.5 * w * np.exp((k - rate) * t) for w, k in live)
+    with np.errstate(over="ignore"):
+        half = np.exp(0.5 * rate * t)
+        return scaled * half * half
+
+
+# far past 700 over the largest |k| of the terms, where cosh(k t) nears overflow
+_CURV_ROWS = (
+    (lambda t, p: t < _CURV_SERIES_RADIUS, _curv_series),
+    (lambda t, p: t > _COSH_MAX_ARG / max(abs(p - 2.0), abs(p), 2.0), _curv_far),
+    (None, lambda t, p: sum(w * np.cosh(k * t) for w, k in _curv_terms(p)) - p - 1.0),
+)
 
 
 @_elementwise("nonnegative")
 def curvature_kernel(t, p: float):
     """cosh((p-2)t) - cosh(pt) + (1-p)cosh(2t) + 2p cosh(t) - p - 1, for t >= 0."""
-    p = float(p)
-    terms = ((1.0, p - 2.0), (-1.0, p), (1.0 - p, 2.0), (2.0 * p, 1.0))  # w cosh(k t)
-
-    def series(t):
-        x = np.square(t)
-        coeffs = [
-            curvature_coefficient(n, p) / math.factorial(2 * n)
-            for n in range(1, _CURV_SERIES_TERMS + 1)
-        ]
-        return _horner(coeffs, x) * x
-
-    def far(t):
-        # rate t > 350 here, so the kernel is sum w e^(|k| t)/2 to within
-        # e^-350; summed relative to e^(rate t), it turns +/-inf past DBL_MAX
-        live = [(w, abs(k)) for w, k in terms if w != 0.0]
-        rate = max(k for _, k in live)
-        scaled = sum(0.5 * w * np.exp((k - rate) * t) for w, k in live)
-        with np.errstate(over="ignore"):
-            half = np.exp(0.5 * rate * t)
-            return scaled * half * half
-
-    def closed(t):
-        return sum(w * np.cosh(k * t) for w, k in terms) - p - 1.0
-
-    far_from = _COSH_MAX_ARG / max(abs(k) for _, k in terms)
-    return _piecewise(
-        t,
-        (
-            (lambda t: t < _CURV_SERIES_RADIUS, series),
-            (lambda t: t > far_from, far),
-            (None, closed),
-        ),
-    )
+    return _piecewise(t, _CURV_ROWS, float(p))
 
 
 @_elementwise("nonnegative")
@@ -163,17 +164,18 @@ def _slope_over_sinh2_far(t, p: float):
     return core - np.arctan(np.tanh(t)) * np.exp(-2.0 * log_sinh)
 
 
+_SLOPE_OVER_SINH2_ROWS = (
+    (lambda t, p: t < _ATAN_SERIES_Y, _slope_over_sinh2),
+    (lambda t, p: t > 350.0, _slope_over_sinh2_far),
+    (None, lambda t, p: _slope_closed(t, p) / _square(np.sinh(t))),
+)
+
+
 @_elementwise("positive")
 def log_gap_slope(t, p: float):
     """d/dt of log_gap = slope_kernel(t, p) / sinh^2(t), for t > 0."""
-    p = float(p)
-    rows = (
-        (lambda t: t < _ATAN_SERIES_Y, lambda t: _slope_over_sinh2(t, p)),
-        (lambda t: t > 350.0, lambda t: _slope_over_sinh2_far(t, p)),
-        (None, lambda t: _slope_closed(t, p) / np.square(np.sinh(t))),
-    )
     with np.errstate(over="ignore"):
-        return _piecewise(t, rows)
+        return _piecewise(t, _SLOPE_OVER_SINH2_ROWS, float(p))
 
 
 def log_gap_residual(a: float, b: float, p: float) -> float:

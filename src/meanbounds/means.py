@@ -48,6 +48,7 @@ from .numerics import (
     _logsinh,
     _piecewise,
     _sinh_clipped,
+    _square,
 )
 
 # Toader: the Gauss-Kummer series below t = 0.3, where h = tanh^2 t < 0.085
@@ -121,7 +122,11 @@ _HALF_LOG_RATIO_ROWS = (
 
 
 def _half_log_ratio(a, b):
-    return _piecewise(np.minimum(a, b), _HALF_LOG_RATIO_ROWS, np.maximum(a, b))
+    if type(a) is np.ndarray:
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+    else:  # past the boundary neither is NaN, so one comparison orders them
+        lo, hi = (a, b) if a <= b else (b, a)
+    return _piecewise(lo, _HALF_LOG_RATIO_ROWS, hi)
 
 
 @_elementwise("positive", arrays=2)
@@ -145,7 +150,7 @@ def half_log_ratio(a, b):
 
 def _lognorm_power(p: float, t):
     if p == 0.0:
-        return np.zeros_like(t)
+        return t * 0.0  # +0.0: every t that reaches an evaluator is positive and finite
     if math.isinf(p):
         return t.copy() if p > 0 else -t
     if abs(p) < _POWER_SMALL_P:
@@ -160,12 +165,12 @@ def _lognorm_lehmer(p: float, t):
 def _lognorm_sandor_yang(t):
     # log cosh(2t)/2 split as log cosh(t) + log(1 + tanh^2 t)/2: every term is
     # relative-accurate, so the t^2 leading behaviour survives cancellation.
-    return _logcosh(t) + 0.5 * np.log1p(np.square(np.tanh(t))) + _atan_tanh_ratio_m1(t)
+    return _logcosh(t) + 0.5 * np.log1p(_square(np.tanh(t))) + _atan_tanh_ratio_m1(t)
 
 
 def _toader_series(t):
     # log(cosh t (1 + h S(h))), with log cosh t = -log(1 - h)/2
-    h = np.square(np.tanh(t))
+    h = _square(np.tanh(t))
     series = h * _horner(_GAUSS_KUMMER, h)
     return np.log1p(series) - 0.5 * np.log1p(-h)
 
@@ -235,25 +240,43 @@ PLAIN_TAGS = tuple(_PLAIN)
 PARAMETRIC_TAGS = tuple(_FAMILIES)
 
 
-def _row(kind: MeanKind):
-    """The (evaluator of log m(t) for t > 0, c2, omega) row of a mean."""
-    return _PLAIN[kind.tag] if kind.param is None else _member(kind.tag, kind.param)
+def _row(kind: MeanKind, column: int):
+    """Entry `column` of a mean's (evaluator of log m(t) for t > 0, c2, omega) row, made alone."""
+    if kind.param is None:
+        return _PLAIN[kind.tag][column]
+    entry = _FAMILIES[kind.tag][column]
+    return entry(kind.param) if column else partial(entry, kind.param)
 
 
 def quadratic_coefficient(kind: MeanKind) -> float:
     """c2 with log m(t) = c2 * t^2 + O(t^4) as t -> 0."""
-    return _row(kind)[1]
+    return _row(kind, 1)
 
 
 def growth_offset(kind: MeanKind) -> float:
     """lim_{t->inf} (log m(t) - t); -inf when the mean grows slower than e^t."""
-    return _row(kind)[2]
+    return _row(kind, 2)
 
 
 @_elementwise("nonnegative", lead=1)
 def log_mean_normalized(kind: MeanKind, t):
     """log of the mean evaluated on the pair (e^-t, e^t), elementwise."""
-    return _piecewise(t, ((lambda t: t == 0.0, np.zeros_like), (None, _row(kind)[0])))
+    return _piecewise(t, ((lambda t: t == 0.0, np.zeros_like), (None, _row(kind, 0))))
+
+
+def _halved(t, a, b, lognorm):
+    half = np.exp(0.5 * lognorm(t))
+    return half * (np.sqrt(a) * np.sqrt(b)) * half
+
+
+# the half log ratio is 0 exactly where a == b; log m <= t, so exp(log m)
+# is finite up to t = log(DBL_MAX) = 709.78
+_EVAL_ROWS = (
+    (lambda t, a, b, lognorm: t == 0.0, lambda t, a, b, lognorm: a.copy()),
+    (lambda t, a, b, lognorm: t > 709.78, _halved),
+    # log m first, so that sqrt(ab) is not held while it is evaluated
+    (None, lambda t, a, b, lognorm: np.exp(lognorm(t)) * (np.sqrt(a) * np.sqrt(b))),
+)
 
 
 @_elementwise("positive", arrays=2, lead=1)
@@ -269,21 +292,4 @@ def eval_mean(kind: MeanKind, a, b):
     if kind.tag == "power" and math.isinf(kind.param):
         return np.maximum(a, b) if kind.param > 0 else np.minimum(a, b)
 
-    lognorm = _row(kind)[0]
-
-    def scaled(t, a, b):
-        # log m first, so that sqrt(ab) is not held while it is evaluated
-        return np.exp(lognorm(t)) * (np.sqrt(a) * np.sqrt(b))
-
-    def halved(t, a, b):
-        half = np.exp(0.5 * lognorm(t))
-        return half * (np.sqrt(a) * np.sqrt(b)) * half
-
-    # the half log ratio is 0 exactly where a == b; log m <= t, so exp(log m)
-    # is finite up to t = log(DBL_MAX) = 709.78
-    rows = (
-        (lambda t, a, b: t == 0.0, lambda t, a, b: a.copy()),
-        (lambda t, a, b: t > 709.78, halved),
-        (None, scaled),
-    )
-    return _piecewise(_half_log_ratio(a, b), rows, a, b)
+    return _piecewise(_half_log_ratio(a, b), _EVAL_ROWS, a, b, _row(kind, 0))

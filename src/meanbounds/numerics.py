@@ -11,17 +11,20 @@ package shares: the scalar/array boundary of its public functions with its
 block cutter, the branch table of every piecewise evaluator, Horner's rule
 and bisection.
 
-An array call whose broadcast holds more than _BLOCK = 2^15 elements runs
-in blocks of that size at the boundary, cut by _blocks, so that the
-temporaries of one call stay near 2 MiB at any size: they stay in cache,
-and their free no longer crosses glibc's heap trim threshold, which trimmed
-and regrew the heap on every large call.  The verify sweeps cut their
-pairs with the same _blocks.
+At the boundary a number (any numbers.Number: int, float, Fraction,
+Decimal, a numpy scalar) or a string is a scalar by its type, converted
+once with np.float64 and checked once, by two comparisons, to be finite
+and in the domain; anything else goes through np.asarray.  An array call
+whose broadcast holds more than _BLOCK = 2^15 elements runs in blocks of
+that size, cut by _blocks, so that one call's temporaries stay near 2 MiB,
+in cache and below glibc's heap trim threshold.  The verify sweeps cut
+their pairs with the same _blocks.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from functools import reduce, wraps
 
@@ -32,6 +35,9 @@ LOG2 = math.log(2.0)
 # elements per block of a large array call (see _elementwise); 2^14 to 2^16
 # run at the same speed
 _BLOCK = 2**15
+
+# one number by type; isinstance tries float first, the slower abstract class last
+_NUMBER = (float, int, np.number, numbers.Number, str)
 
 
 def _blocks(*arrs):
@@ -57,38 +63,38 @@ def _elementwise(domain=None, arrays=1, lead=0):
     """The scalar/array boundary of every public elementwise function.
 
     The decorated function receives its `arrays` array arguments, those after
-    its first `lead` ones, checked to be `domain` ("positive" or
-    "nonnegative"; NaN is neither).  When all of them are scalars it gets them
-    as numpy float64 scalars and the result comes back as a float; otherwise
-    it gets float arrays of at least one dimension and its array comes back.
-
-    When the broadcast of the array arguments holds more than _BLOCK
-    elements, the whole arrays are checked first, then the function runs on
-    each block that _blocks cuts from the arguments and writes each result
-    into one output: one call's temporaries stay near 2 MiB at any size, in
-    cache and below malloc's trim threshold.
+    its first `lead` ones, checked to be finite and `domain` ("positive" or
+    "nonnegative"; NaN is neither).  When all of them are scalars (a number or
+    a string by type, converted once with np.float64, or a 0-d array) it gets
+    them as numpy float64 scalars and the result comes back as a float;
+    otherwise it gets float arrays of at least one dimension and its array
+    comes back.  A broadcast of more than _BLOCK elements is checked whole,
+    then computed in the blocks that _blocks cuts, into one output.
     """
     check = {"positive": operator.gt, "nonnegative": operator.ge}.get(domain)
 
     def decorate(fn):
         names = fn.__code__.co_varnames[: lead + arrays]
 
-        def reject():
-            raise ValueError(f"{' and '.join(names[lead:])} must be {domain}")
-
         @wraps(fn)
         def boundary(*args, **kwargs):
             if kwargs:
                 args += tuple(kwargs.pop(name) for name in names[len(args) :])
-            arrs = [np.asarray(x, dtype=float) for x in args[lead : lead + arrays]]
-            if all(arr.ndim == 0 for arr in arrs):
-                xs = [arr[()] for arr in arrs]
-                if check and not all(check(x, 0.0) for x in xs):
-                    reject()
+            xs, scalar = [], True
+            for x in args[lead : lead + arrays]:
+                if not isinstance(x, _NUMBER):
+                    x = np.asarray(x, dtype=float)
+                if type(x) is np.ndarray and x.ndim:
+                    scalar = False
+                    lo, hi = (x.min(initial=math.inf), x.max(initial=0.0)) if check else (x, x)
+                else:
+                    lo = hi = x = np.float64(x)
+                if check and not (check(lo, 0.0) and hi < math.inf):
+                    raise ValueError(f"{' and '.join(names[lead:])} must be {domain} and finite")
+                xs.append(x)
+            if scalar:
                 return float(fn(*args[:lead], *xs, *args[lead + arrays :], **kwargs))
-            arrs = [arr.reshape(1) if arr.ndim == 0 else arr for arr in arrs]
-            if check and not all(check(arr.min(initial=math.inf), 0.0) for arr in arrs):
-                reject()
+            arrs = [x if x.ndim else x.reshape(1) for x in xs]
             broadcast = np.broadcast(*arrs)
             if broadcast.size <= _BLOCK:
                 return fn(*args[:lead], *arrs, *args[lead + arrays :], **kwargs)
@@ -107,17 +113,18 @@ def _piecewise(x, rows, *more):
     """A piecewise function of x: rows are (predicate, fn), the last (None, fn).
 
     The predicates are disjoint and the last row takes every x they leave.
-    Each predicate and fn gets x followed by `more`, broadcast to x's shape.
-    On a numpy scalar x only the live row runs, with no mask.  On an array
-    each fn runs on the elements of its row, or on all of x when they are
-    all of its row.
+    Each predicate and fn gets x followed by `more`: its arrays broadcast to
+    x's shape and split with x, anything else (a parameter, an evaluator) as
+    it is, so that rows are built once, not per call.  On a numpy scalar x
+    only the live row runs, with no mask.  On an array each fn runs on the
+    elements of its row, or on all of x when they are all of its row.
     """
-    if not isinstance(x, np.ndarray):
+    if type(x) is not np.ndarray:
         for predicate, fn in rows:
             if predicate is None or predicate(x, *more):
                 return fn(x, *more)
-    if more:
-        more = np.broadcast_arrays(x, *more)[1:]
+    shape = x.shape
+    more = [y if getattr(y, "shape", shape) == shape else np.broadcast_to(y, shape) for y in more]
     masks = [predicate(x, *more) for predicate, _ in rows[:-1]]
     counts = [np.count_nonzero(mask) for mask in masks]
     counts.append(x.size - sum(counts))
@@ -129,11 +136,16 @@ def _piecewise(x, rows, *more):
         if count:
             # indices once per row: gathers and scatters by index beat the mask
             idx = np.nonzero(mask)
-            value = fn(x[idx], *[y[idx] for y in more])
+            value = fn(x[idx], *[y[idx] if isinstance(y, np.ndarray) else y for y in more])
             if out is None:  # only now: the first row's temporaries are freed
                 out = np.empty_like(x)
             out[idx] = value
     return out
+
+
+def _square(x):
+    """np.square's bits: x * x on a numpy scalar, at a fifth of the cost; np.square on an array."""
+    return np.square(x) if type(x) is np.ndarray else x * x
 
 
 def _horner(coeffs, x):
@@ -169,7 +181,7 @@ _COSH_MAX_ARG = 700.0
 
 _LOGCOSH_ROWS = (
     (lambda a: a > _COSH_MAX_ARG, lambda a: a - LOG2 + np.log1p(np.exp(-2.0 * a))),
-    (None, lambda a: np.log1p(2.0 * np.square(np.sinh(0.5 * a)))),
+    (None, lambda a: np.log1p(2.0 * _square(np.sinh(0.5 * a)))),
 )
 
 
@@ -180,7 +192,7 @@ def logcosh(x):
     log1p(2 sinh^2(x/2)) keeps every digit down to x = 0 and is finite up to
     |x| = 700; beyond, where it nears overflow, |x| - log 2 + log1p(e^(-2|x|)).
     """
-    return _piecewise(np.abs(x), _LOGCOSH_ROWS)
+    return _piecewise(abs(x), _LOGCOSH_ROWS)
 
 
 _LOGSINH_ROWS = (
@@ -201,8 +213,9 @@ _logcosh, _logsinh = logcosh.__wrapped__, logsinh.__wrapped__
 
 # sinh overflows past ~710; arctan(sinh) is pi/2 and arctan(sinh)/sinh - 1 is
 # -1.0 to machine precision long before the clip point, so clipping is exact.
+# min clips a numpy scalar at a fifth of the cost of np.minimum, with the same bits.
 def _sinh_clipped(x):
-    return np.sinh(np.minimum(x, 300.0))
+    return np.sinh(np.minimum(x, 300.0) if type(x) is np.ndarray else min(x, 300.0))
 
 
 # arctan(y)/y - 1 = sum_{k>=1} (-1)^k y^(2k)/(2k+1).  Below y = 0.1 the nine
@@ -214,12 +227,12 @@ _ATAN_SERIES = [(-1) ** k / (2 * k + 1) for k in range(1, 10)]
 
 def _atan_series(y):
     """(arctan(y)/y - 1)/y^2 for |y| < 0.1, by Horner's rule in y^2."""
-    return _horner(_ATAN_SERIES, np.square(y))
+    return _horner(_ATAN_SERIES, _square(y))
 
 
 # rows of arctan(y)/y - 1 in y
 _ATAN_RATIO_ROWS = (
-    (lambda y: y < _ATAN_SERIES_Y, lambda y: _atan_series(y) * np.square(y)),
+    (lambda y: y < _ATAN_SERIES_Y, lambda y: _atan_series(y) * _square(y)),
     (None, lambda y: np.arctan(y) / y - 1.0),
 )
 
@@ -252,9 +265,7 @@ _atan_sinh_ratio_m1 = atan_sinh_ratio_m1.__wrapped__
 # cosh(t) (1 + h S(h)) with h = tanh^2 t and these coefficients in S
 # (Gauss-Kummer; Linderholm & Segal, Math. Mag. 68, 1995).  Each is a dyadic
 # rational, and int / int rounds correctly, so each float is exact.
-_GAUSS_KUMMER = np.array(
-    [math.comb(2 * k, k) ** 2 / (4**k * (2 * k - 1)) ** 2 for k in range(1, 14)]
-)
+_GAUSS_KUMMER = [math.comb(2 * k, k) ** 2 / (4**k * (2 * k - 1)) ** 2 for k in range(1, 14)]
 
 
 def _agm(m):

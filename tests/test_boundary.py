@@ -1,12 +1,16 @@
 """The scalar/array contract shared by the public elementwise functions.
 
-A Python float or a 0-d array gives a float; an array gives an array of the
-same shape, equal elementwise to the scalar results.  A scalar call runs only
-its live branch and passes the scalar/array boundary once.
+A number, a numeric string or a 0-d array gives a float; an array gives an
+array of the same shape, equal elementwise to the scalar results.  A zero,
+negative, NaN or infinite argument raises before anything is evaluated.  A
+scalar call runs only its live branch and passes the scalar/array boundary
+once, with few Python calls around its ufuncs.
 """
 
 import math
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -221,6 +225,102 @@ def test_keyword_array_arguments_pass_the_domain_check():
     np.testing.assert_array_equal(by_keyword, [eval_mean(kind, 1.0, 3.0)])
 
 
+def test_infinite_arguments_raise_before_any_evaluator_runs():
+    for kind in KINDS:
+        for a, b in ((math.inf, math.inf), (math.inf, 3.0), (3.0, math.inf)):
+            entries = []
+            with pytest.raises(ValueError, match="^a and b must be positive and finite$"):
+                _profiled(eval_mean.__wrapped__.__code__, lambda: eval_mean(kind, a, b), entries)
+            assert entries == []
+        with pytest.raises(ValueError, match="^t must be nonnegative and finite$"):
+            log_mean_normalized(kind, math.inf)
+    for fn in (slope_kernel, curvature_kernel, log_gap):
+        with pytest.raises(ValueError, match="^t must be nonnegative and finite$"):
+            fn(math.inf, 1.2)
+        with pytest.raises(ValueError, match="^t must be nonnegative and finite$"):
+            fn(np.array([0.5, math.inf]), 1.2)
+    with pytest.raises(ValueError, match="^t must be positive and finite$"):
+        log_gap_slope(np.array([math.inf]), 1.2)
+    with pytest.raises(ValueError, match="^a and b must be positive and finite$"):
+        half_log_ratio(np.array([1.0, 2.0]), np.array([3.0, -math.inf]))
+    # large finite t get through, and the geometric mean's log stays +0.0
+    assert np.isfinite(log_gap(np.array([CUTS.max(), 727.0]), 1.2)).all()
+    t = np.array([0.0, 5e-324, CUTS.max(), 1.0e300, np.finfo(float).max])
+    np.testing.assert_array_equal(_bits(log_mean_normalized(MeanKind("geometric"), t)), 0)
+    assert _bits(eval_mean(MeanKind("geometric"), 5e-324, np.finfo(float).max)) == _bits(
+        math.sqrt(5e-324) * math.sqrt(np.finfo(float).max)
+    )
+
+
+# a number or a string is a scalar by type, converted once with np.float64 to
+# the value np.asarray(x, dtype=float) gives; the results are frozen as hex
+SCALAR_TYPES = [
+    (3, "0x1.1a2453378cf33p+1", "0x1.1a784e1c7e180p-6"),
+    (2.5, "0x1.ee5123df2d5c9p+0", "0x1.2abc240cb36c0p-6"),
+    (np.float64(2.5), "0x1.ee5123df2d5c9p+0", "0x1.2abc240cb36c0p-6"),
+    (np.float32(0.1), "0x1.8cf1b990cd1f0p-1", "0x1.585251a583f68p-11"),
+    (np.array(2.5), "0x1.ee5123df2d5c9p+0", "0x1.2abc240cb36c0p-6"),
+    (Fraction(7, 3), "0x1.d73aea256327bp+0", "0x1.331e73f431b40p-6"),
+    (Decimal("0.1"), "0x1.8cf1b98c5fc05p-1", "0x1.585250fbecfe0p-11"),
+    ("2.5", "0x1.ee5123df2d5c9p+0", "0x1.2abc240cb36c0p-6"),
+]
+
+
+@pytest.mark.parametrize("x, mean, gap", SCALAR_TYPES, ids=[repr(x) for x, _, _ in SCALAR_TYPES])
+def test_every_scalar_type_gives_a_float_of_its_value(x, mean, gap):
+    value = eval_mean(MeanKind("sandor-yang"), x, 1.3)
+    assert type(value) is float and value == float.fromhex(mean)
+    value = log_gap(x, 1.2)
+    assert type(value) is float and value == float.fromhex(gap)
+
+
+# zero, negative, NaN and infinite values of every scalar type
+BAD_SCALARS = [
+    0,
+    -1,
+    False,
+    0.0,
+    -2.5,
+    math.nan,
+    math.inf,
+    -math.inf,
+    np.float64(0.0),
+    np.float32("nan"),
+    np.float32("inf"),
+    np.array(-1.0),
+    np.array(math.inf),
+    Fraction(0),
+    Fraction(-1, 3),
+    Decimal("0"),
+    Decimal("-1"),
+    Decimal("NaN"),
+    Decimal("Infinity"),
+    "0",
+    "-1",
+    "nan",
+    "inf",
+]
+
+
+@pytest.mark.parametrize("bad", BAD_SCALARS, ids=repr)
+def test_a_bad_scalar_of_any_type_raises_before_any_evaluator_runs(bad):
+    calls = [
+        (eval_mean, lambda: eval_mean(MeanKind("sandor-yang"), bad, 1.3), True),
+        (eval_mean, lambda: eval_mean(MeanKind("sandor-yang"), 1.3, bad), True),
+        (log_gap_slope, lambda: log_gap_slope(bad, 1.2), True),
+        # zero is in the nonnegative domain
+        (log_gap, lambda: log_gap(bad, 1.2), float(bad) != 0.0),
+    ]
+    for fn, call, raises in calls:
+        if not raises:
+            assert call() == 0.0
+            continue
+        entries = []
+        with pytest.raises(ValueError, match="must be (positive|nonnegative) and finite$"):
+            _profiled(fn.__wrapped__.__code__, call, entries)
+        assert entries == []
+
+
 def _dead(x, *more):
     raise AssertionError("a row that holds no element ran")
 
@@ -266,6 +366,75 @@ def test_a_scalar_call_enters_the_boundary_once(t):
         assert _boundary_entries(lambda: log_mean_normalized(kind, t)) == 1
     for fn in (slope_kernel, curvature_kernel, log_gap, log_gap_slope):
         assert _boundary_entries(lambda: fn(t, 1.2)) == 1
+
+
+def _events(call):
+    """How many Python calls and calls of builtins call() makes, with no timing."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        count += event in ("call", "c_call")
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+# the Python work around the ufuncs of one scalar call: the counts of this
+# code (CPython 3.11, numpy 2.4), each from 3 to 17 below those of a boundary
+# that made an array per argument and of rows and closures built per call.
+# A count weighs a cheap builtin as much as a Python call: it guards against
+# added work, it does not measure cost
+SCALAR_CALL_EVENTS = {
+    "harmonic": 28,
+    "geometric": 20,
+    "arithmetic": 28,
+    "quadratic": 28,
+    "log": 24,
+    "identric": 20,
+    "first-seiffert": 26,
+    "second-seiffert": 24,
+    "neuman-sandor": 24,
+    "yang": 26,
+    "sandor": 32,
+    "toader": 27,
+    "sandor-yang": 31,
+    "power:1.7": 29,
+    "lehmer:0.5": 32,
+    "slope_kernel(0.0005)": 17,
+    "slope_kernel(0.7)": 33,
+    "curvature_kernel(0.0005)": 30,
+    "curvature_kernel(0.7)": 22,
+    "log_gap(0.0005)": 33,
+    "log_gap(0.7)": 29,
+    "log_gap_slope(0.0005)": 21,
+    "log_gap_slope(0.7)": 42,
+    "half_log_ratio": 14,
+}
+
+
+SCALAR_CALLS = {
+    **{
+        kind.label(): lambda kind=kind: eval_mean(kind, 1.7, 5.3)
+        for kind in [MeanKind(tag) for tag in PLAIN_TAGS]
+        + [MeanKind.power(1.7), MeanKind.lehmer(0.5)]
+    },
+    **{
+        f"{fn.__name__}({t})": lambda fn=fn, t=t: fn(t, 1.2)
+        for fn in (slope_kernel, curvature_kernel, log_gap, log_gap_slope)
+        for t in (5e-4, 0.7)
+    },
+    "half_log_ratio": lambda: half_log_ratio(1.7, 5.3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_CALLS))
+def test_a_scalar_call_makes_few_python_calls(name):
+    assert _events(SCALAR_CALLS[name]) <= SCALAR_CALL_EVENTS[name]
 
 
 def test_gap_peak_stops_bisecting_at_a_fixed_point(monkeypatch):

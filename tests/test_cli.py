@@ -330,7 +330,7 @@ two_pow_8_5_over_pi,2^(8/5)/pi,0.964935135545622
 
 _TRACE = ("trace", "--function", "log-gap", "--p")
 _RANGE = "need 0 < t-min < t-max and n >= 2"
-_POSITIVE = "a and b must be positive"
+_POSITIVE = "a and b must be positive and finite"
 
 # (argv, the message after "error: ")
 USAGE_ERRORS = [
@@ -342,6 +342,8 @@ USAGE_ERRORS = [
     ),
     (("eval", "--mean", "arithmetic", "--a", "-1", "--b", "2"), _POSITIVE),
     (("eval", "--mean", "arithmetic", "--a", "0", "--b", "2"), _POSITIVE),
+    (("eval", "--mean", "arithmetic", "--a", "inf", "--b", "2"), _POSITIVE),
+    (("eval", "--mean", "sandor-yang", "--a", "inf", "--b", "inf"), _POSITIVE),
     (
         ("endpoint", "--mean", "power:2", "--family", "power", "--side", "lower"),
         "no closed form catalogued for power:2/power",
