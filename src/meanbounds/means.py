@@ -198,17 +198,24 @@ _FAMILIES = {
 }
 
 
-def _member(family: str, p: float):
-    """The row of the family member with parameter p."""
-    lognorm, c2, omega = _FAMILIES[family]
-    return partial(lognorm, p), c2(p), omega(p)
+def _row(tag: str, param: float | None, column: int):
+    """Entry `column` of a mean's (evaluator of log m(t) for t > 0, c2, omega) row, made alone.
+
+    A plain mean's is read from _PLAIN; a family member's is made from its parameter.
+    """
+    if param is None:
+        return _PLAIN[tag][column]
+    entry = _FAMILIES[tag][column]
+    return entry(param) if column else partial(entry, param)
 
 
 _PLAIN = {
-    "harmonic": _member("power", -1.0),
-    "geometric": _member("power", 0.0),
-    "arithmetic": _member("power", 1.0),
-    "quadratic": _member("power", 2.0),
+    **{
+        tag: tuple(_row("power", p, column) for column in range(3))
+        for tag, p in (
+            ("harmonic", -1.0), ("geometric", 0.0), ("arithmetic", 1.0), ("quadratic", 2.0)
+        )
+    },
     "log": (lambda t: _logsinh(t) - np.log(t), 1.0 / 6.0, -math.inf),
     "identric": (lambda t: t / np.tanh(t) - 1.0, 1.0 / 3.0, -1.0),
     "first-seiffert": (
@@ -240,28 +247,21 @@ PLAIN_TAGS = tuple(_PLAIN)
 PARAMETRIC_TAGS = tuple(_FAMILIES)
 
 
-def _row(kind: MeanKind, column: int):
-    """Entry `column` of a mean's (evaluator of log m(t) for t > 0, c2, omega) row, made alone."""
-    if kind.param is None:
-        return _PLAIN[kind.tag][column]
-    entry = _FAMILIES[kind.tag][column]
-    return entry(kind.param) if column else partial(entry, kind.param)
-
-
 def quadratic_coefficient(kind: MeanKind) -> float:
     """c2 with log m(t) = c2 * t^2 + O(t^4) as t -> 0."""
-    return _row(kind, 1)
+    return _row(kind.tag, kind.param, 1)
 
 
 def growth_offset(kind: MeanKind) -> float:
     """lim_{t->inf} (log m(t) - t); -inf when the mean grows slower than e^t."""
-    return _row(kind, 2)
+    return _row(kind.tag, kind.param, 2)
 
 
 @_elementwise("nonnegative", lead=1)
 def log_mean_normalized(kind: MeanKind, t):
     """log of the mean evaluated on the pair (e^-t, e^t), elementwise."""
-    return _piecewise(t, ((lambda t: t == 0.0, np.zeros_like), (None, _row(kind, 0))))
+    evaluator = _row(kind.tag, kind.param, 0)
+    return _piecewise(t, ((lambda t: t == 0.0, np.zeros_like), (None, evaluator)))
 
 
 def _halved(t, a, b, lognorm):
@@ -292,4 +292,4 @@ def eval_mean(kind: MeanKind, a, b):
     if kind.tag == "power" and math.isinf(kind.param):
         return np.maximum(a, b) if kind.param > 0 else np.minimum(a, b)
 
-    return _piecewise(_half_log_ratio(a, b), _EVAL_ROWS, a, b, _row(kind, 0))
+    return _piecewise(_half_log_ratio(a, b), _EVAL_ROWS, a, b, _row(kind.tag, kind.param, 0))
