@@ -76,6 +76,25 @@ def _cmd_trace(args) -> int:
     return 0
 
 
+def _keep_freed_memory() -> None:
+    """Raise glibc's mmap and trim thresholds for this process; no-op without mallopt.
+
+    A pair sweep allocates and frees about 25 temporaries of 256 KiB per block.
+    Under the default 128 KiB thresholds a fresh process maps them, returns
+    them to the kernel and faults them in again on every block.  The CLI owns
+    its short-lived process; the library never sets this.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt in this C library
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 * 2**20)  # M_MMAP_THRESHOLD, above one block's working set
+    mallopt(-1, 64 * 2**20)  # M_TRIM_THRESHOLD
+
+
 def _cmd_verify(args) -> int:
     if args.which == "seiffert-lehmer":
         results = solver.verify_seiffert_lehmer()
@@ -93,6 +112,7 @@ def _cmd_verify(args) -> int:
 
     if args.pairs < 1:
         raise ValueError("need --pairs >= 1")
+    _keep_freed_memory()
     rng = np.random.default_rng(args.seed)
     # t log-uniform on [5e-11, 13.8]; the pair (1, e^{2t}) has half log ratio t.
     # Drawn per sweep block: the same stream as one draw, in bounded memory

@@ -130,10 +130,16 @@ def _curv_far(t, p: float):
         return scaled * half * half
 
 
-# far past 700 over the largest |k| of the terms, where cosh(k t) nears overflow
+def _curv_far_from(p: float) -> float:
+    """700 / max(|p - 2|, |p|, 2), the largest |k| of the terms: where cosh(k t) nears overflow."""
+    return _COSH_MAX_ARG / (p if p > 2.0 else 2.0 - p if p < 0.0 else 2.0)
+
+
+# disjoint: for |p| > 7e5 the far row starts below the series radius and takes
+# over, as the series is far outside its range at p t = 700
 _CURV_ROWS = (
-    (lambda t, p: t < _CURV_SERIES_RADIUS, _curv_series),
-    (lambda t, p: t > _COSH_MAX_ARG / max(abs(p - 2.0), abs(p), 2.0), _curv_far),
+    (lambda t, p: (t < _CURV_SERIES_RADIUS) & (t <= _curv_far_from(p)), _curv_series),
+    (lambda t, p: t > _curv_far_from(p), _curv_far),
     (None, lambda t, p: sum(w * np.cosh(k * t) for w, k in _curv_terms(p)) - p - 1.0),
 )
 

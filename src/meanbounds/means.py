@@ -38,9 +38,9 @@ import numpy as np
 
 from .numerics import (
     LOG2,
+    _ATAN_RATIO_ROWS,
     _GAUSS_KUMMER,
     _atan_sinh_ratio_m1,
-    _atan_tanh_ratio_m1,
     _elementwise,
     _ellipe_agm,
     _horner,
@@ -165,7 +165,9 @@ def _lognorm_lehmer(p: float, t):
 def _lognorm_sandor_yang(t):
     # log cosh(2t)/2 split as log cosh(t) + log(1 + tanh^2 t)/2: every term is
     # relative-accurate, so the t^2 leading behaviour survives cancellation.
-    return _logcosh(t) + 0.5 * np.log1p(_square(np.tanh(t))) + _atan_tanh_ratio_m1(t)
+    # One y = tanh t serves it and the ratio arctan(y)/y - 1.
+    y = np.tanh(t)
+    return _logcosh(t) + 0.5 * np.log1p(_square(y)) + _piecewise(y, _ATAN_RATIO_ROWS)
 
 
 def _toader_series(t):

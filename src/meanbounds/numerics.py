@@ -16,9 +16,11 @@ Decimal, a numpy scalar) or a string is a scalar by its type, converted
 once with np.float64 and checked once, by two comparisons, to be finite
 and in the domain; anything else goes through np.asarray.  An array call
 whose broadcast holds more than _BLOCK = 2^15 elements runs in blocks of
-that size, cut by _blocks, so that one call's temporaries stay near 2 MiB,
-in cache and below glibc's heap trim threshold.  The verify sweeps cut
-their pairs with the same _blocks.
+that size, cut by _blocks, so that one call's temporaries stay near 2 MiB
+and in cache.  The verify sweeps cut their pairs with the same _blocks.
+Those 256 KiB temporaries exceed glibc's default 128 KiB mmap threshold, so
+a fresh process maps and faults them in on every call until the threshold
+grows; the CLI's pair sweep raises it for its own process.
 """
 
 from __future__ import annotations
@@ -179,8 +181,9 @@ def _bisect(goes_right, lo, hi, steps):
 # cosh(700) = 5e303: up to here cosh, and the sums built on it, stay finite
 _COSH_MAX_ARG = 700.0
 
+# past 700, e^(-2a) < e^(-1400) underflows to 0, so the far row is exact
 _LOGCOSH_ROWS = (
-    (lambda a: a > _COSH_MAX_ARG, lambda a: a - LOG2 + np.log1p(np.exp(-2.0 * a))),
+    (lambda a: a > _COSH_MAX_ARG, lambda a: a - LOG2),
     (None, lambda a: np.log1p(2.0 * _square(np.sinh(0.5 * a)))),
 )
 
@@ -190,13 +193,20 @@ def logcosh(x):
     """log(cosh(x)) without overflow, within 2 ulp for all x.
 
     log1p(2 sinh^2(x/2)) keeps every digit down to x = 0 and is finite up to
-    |x| = 700; beyond, where it nears overflow, |x| - log 2 + log1p(e^(-2|x|)).
+    |x| = 700; beyond, where it nears overflow, |x| - log 2, as the remaining
+    log1p(e^(-2|x|)) is 0 in binary64.
     """
     return _piecewise(abs(x), _LOGCOSH_ROWS)
 
 
+def _logsinh_far(x):
+    # exp(-800) is 0, so clipping x at 400 is exact, and -2x cannot overflow
+    clipped = np.minimum(x, 400.0) if type(x) is np.ndarray else min(x, 400.0)
+    return x - LOG2 + np.log1p(-np.exp(-2.0 * clipped))
+
+
 _LOGSINH_ROWS = (
-    (lambda x: x > 20.0, lambda x: x - LOG2 + np.log1p(-np.exp(-2.0 * x))),
+    (lambda x: x > 20.0, _logsinh_far),
     (None, lambda x: np.log(np.sinh(x))),
 )
 
@@ -254,7 +264,6 @@ def atan_sinh_ratio_m1(x):
     return _piecewise(_sinh_clipped(x), _ATAN_RATIO_ROWS)
 
 
-_atan_tanh_ratio_m1 = atan_tanh_ratio_m1.__wrapped__
 _atan_sinh_ratio_m1 = atan_sinh_ratio_m1.__wrapped__
 
 

@@ -33,12 +33,14 @@ from .means import (
     LOG2,
     PARAMETRIC_TAGS,
     MeanKind,
+    _lognorm_power,
+    _lognorm_sandor_yang,
     growth_offset,
     half_log_ratio,
     log_mean_normalized,
     quadratic_coefficient,
 )
-from .numerics import _bisect, _blocks, atan_tanh_ratio_m1
+from .numerics import _ATAN_RATIO_ROWS, _BLOCK, _bisect, _blocks, _piecewise, _square
 from .series import CHAIN_EXPONENTS
 
 # Grid used for "for all t" checks, per the solver design: 1e4 log-spaced
@@ -262,36 +264,66 @@ def peak_ratio(p: float) -> float:
 # --- chain and squeeze verification -----------------------------------------
 
 _CHAIN_EXPONENTS = tuple(map(float, CHAIN_EXPONENTS))
+# between its eleven members: lambda_inf*max, the scaled powers, B, the powers, max
+_CHAIN_LINKS = 2 * len(_CHAIN_EXPONENTS) + 2
 
 
-def _chain_rows(t: np.ndarray) -> list[tuple[str, str, np.ndarray]]:
-    """(label, expression, log value at t) of the eleven chain members, ascending."""
-    powers = [(p, f"{p:g}", log_mean_normalized(MeanKind.power(p), t)) for p in _CHAIN_EXPONENTS]
+def _chain_rows(t):
+    """(label, expression, log value at t >= 0) of the eleven chain members, ascending.
+
+    They come one at a time; each power profile serves its scaled and its unscaled member.
+    """
     log_lam_inf = math.log(sharp_factor(math.inf))
-    rows = [("lambda_inf*max", "exp(pi/4-1)/sqrt(2) * max(a,b)", log_lam_inf + t)]
-    for p, g, prof in reversed(powers):
+    yield "lambda_inf*max", "exp(pi/4-1)/sqrt(2) * max(a,b)", log_lam_inf + t
+    profiles = {}
+    for p in reversed(_CHAIN_EXPONENTS):
+        g = f"{p:g}"
+        profiles[g] = _lognorm_power(p, t)
         expr = f"exp(pi/4-1)*2^(1/({g})-1/2) * power-mean({g})"
-        rows.append((f"lambda_{g}*power:{g}", expr, math.log(sharp_factor(p)) + prof))
+        yield f"lambda_{g}*power:{g}", expr, math.log(sharp_factor(p)) + profiles[g]
     sy_expr = "quadratic-mean * exp(arithmetic/second-seiffert - 1)"
-    rows.append(("sandor-yang", sy_expr, log_mean_normalized(MeanKind("sandor-yang"), t)))
-    rows += [(f"power:{g}", f"power-mean({g})", prof) for _, g, prof in powers]
-    return rows + [("max", "max(a,b)", t)]
+    yield "sandor-yang", sy_expr, _lognorm_sandor_yang(t)
+    for g, profile in reversed(profiles.items()):
+        yield f"power:{g}", f"power-mean({g})", profile
+    yield "max", "max(a,b)", t
+
+
+def _chain_links(t):
+    """The chain's adjacent log differences at t, lowest link first, one at a time."""
+    rows = _chain_rows(t)
+    _, _, below = next(rows)
+    for _, _, above in rows:
+        yield above - below
+        below = above
 
 
 def chain_margins(t) -> np.ndarray:
-    """Adjacent log differences of the chain; it holds iff all >= -(TIE + 2 ulp(t))."""
+    """Adjacent log differences of the chain at finite t >= 0, shape (10,) + t's (at least 1-d).
+
+    The chain holds at t iff all ten are >= -(TIE + 2 ulp(t)).
+    """
     arr = np.atleast_1d(np.asarray(t, dtype=float))
-    return np.diff(np.stack([logval for _, _, logval in _chain_rows(arr)]), axis=0)
+    if not (arr.min(initial=math.inf) >= 0.0 and arr.max(initial=0.0) < math.inf):
+        raise ValueError("t must be nonnegative and finite")
+    ts = arr.ravel()
+    out = np.empty((_CHAIN_LINKS, ts.size))
+    for start in range(0, ts.size, _BLOCK):
+        cols = slice(start, start + _BLOCK)
+        for link, margin in zip(out[:, cols], _chain_links(ts[cols])):
+            link[...] = margin
+    return out.reshape((_CHAIN_LINKS,) + arr.shape)
 
 
 def chain_table(a: float, b: float) -> list[tuple[str, str, float]]:
-    """(label, expression, value) rows of the chain, in ascending order."""
+    """(label, expression, value) rows of the chain, in ascending order; the last is max(a, b)."""
     t = half_log_ratio(a, b)
     if t == 0.0:
         raise ValueError("chain table requires distinct arguments")
     scale = math.sqrt(a) * math.sqrt(b)
-    rows = _chain_rows(np.atleast_1d(t))
-    return [(label, expr, scale * math.exp(float(logval[0]))) for label, expr, logval in rows]
+    *members, (label, expr, _) = _chain_rows(np.atleast_1d(t))
+    rows = [(lbl, ex, scale * math.exp(float(logval[0]))) for lbl, ex, logval in members]
+    # the top member is max(a, b) itself, which sqrt(ab) e^t misses by up to 1e-15
+    return rows + [(label, expr, float(max(a, b)))]
 
 
 def squeeze_margins(t):
@@ -301,11 +333,9 @@ def squeeze_margins(t):
     log1p(tanh^2 t)/2 exactly, and the remaining piece is the arctan(tanh)
     ratio series — so their positivity is meaningful down to t ~ 1e-150.
     """
-    arr = np.asarray(t, dtype=float)
-    ratio = atan_tanh_ratio_m1(arr)
-    low = 0.5 * np.log1p(np.tanh(arr) ** 2) + ratio
-    high = -ratio
-    return low, high
+    y = np.tanh(np.asarray(t, dtype=float))
+    ratio = _piecewise(y, _ATAN_RATIO_ROWS)  # arctan(y)/y - 1
+    return 0.5 * np.log1p(_square(y)) + ratio, -ratio
 
 
 def _holds_at_every_pair(a, b, name: str, holds: Callable[[np.ndarray], bool]) -> bool:
@@ -323,17 +353,21 @@ def _holds_at_every_pair(a, b, name: str, holds: Callable[[np.ndarray], bool]) -
     return ok
 
 
+def _chain_holds(t) -> bool:
+    """True iff every link of the chain holds at every t, checked link by link."""
+    # the scaled members share one asymptote, so at large t their margins are
+    # rounding noise of the log values, about an ulp of t (1.1e-13 at 709)
+    floor = -(TIE + 2 * np.spacing(t))
+    return all(np.all(margin >= floor) for margin in _chain_links(t))
+
+
 def verify_chain(a, b) -> bool:
     """The full scaled-power-mean chain at every pair of a and b.
 
     a and b are positive numbers or arrays that broadcast together.  True iff
     the chain holds at every pair; an equal or infinite pair raises ValueError.
     """
-    # the scaled members share one asymptote, so at large t their margins are
-    # rounding noise of the log values, about an ulp of t (1.1e-13 at 709)
-    return _holds_at_every_pair(
-        a, b, "chain", lambda t: bool(np.all(chain_margins(t) >= -(TIE + 2 * np.spacing(t))))
-    )
+    return _holds_at_every_pair(a, b, "chain", _chain_holds)
 
 
 def verify_squeeze(a, b) -> bool:

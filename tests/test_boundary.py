@@ -95,6 +95,9 @@ AT_CUTS = {
     "half_log_ratio": (lambda t: half_log_ratio(0.3 * np.exp(-t), 0.3 * np.exp(t)), True),
     "slope_kernel": (lambda t: slope_kernel(t, 1.2), True),
     "curvature_kernel": (lambda t: curvature_kernel(t, 1.2), True),
+    # past |p| = 7e5 the far row starts (at 700/|p|) below the series radius:
+    # 1e-3 less an ulp is in both ranges, and takes the far row
+    "curvature_kernel_p1e6": (lambda t: curvature_kernel(t, 1e6), True),
     "log_gap": (lambda t: log_gap(t, 1.2), True),
     "log_gap_slope": (lambda t: log_gap_slope(t, 1.2), False),
     # |p| >= 2 takes another form of the slope series
@@ -402,15 +405,15 @@ SCALAR_CALL_EVENTS = {
     "yang": 26,
     "sandor": 32,
     "toader": 27,
-    "sandor-yang": 31,
+    "sandor-yang": 30,
     "power:1.7": 29,
     "lehmer:0.5": 32,
     "slope_kernel(0.0005)": 17,
     "slope_kernel(0.7)": 33,
     "curvature_kernel(0.0005)": 30,
-    "curvature_kernel(0.7)": 22,
-    "log_gap(0.0005)": 33,
-    "log_gap(0.7)": 29,
+    "curvature_kernel(0.7)": 21,
+    "log_gap(0.0005)": 32,
+    "log_gap(0.7)": 28,
     "log_gap_slope(0.0005)": 21,
     "log_gap_slope(0.7)": 42,
     "half_log_ratio": 14,

@@ -1,12 +1,16 @@
 """Command-line interface: output shape, exit codes, determinism."""
 
 import math
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from meanbounds import cli, numerics
+from meanbounds import cli, numerics, solver
 
 P0 = 1.2351702290504027
 T0 = 0.93728564929146117
@@ -165,6 +169,13 @@ def test_chain_table_rows_ascend(capsys):
     assert lines[-1].startswith("max,")
 
 
+def test_chain_table_top_row_is_max_itself(capsys):
+    # sqrt(ab) e^t printed 851411821412.349 here
+    argv = ["table", "--which", "chain", "--a", "851411821412.348", "--b", "309.808423318366"]
+    _, out, _ = run(capsys, *argv)
+    assert out.splitlines()[-1] == "max,max(a,b),851411821412.348"
+
+
 # --- trace ------------------------------------------------------------------
 
 
@@ -252,6 +263,46 @@ def test_verify_sweep_memory_is_bounded_in_pairs(capsys):
     run(capsys, "verify", "--which", "chain", "--pairs", "100")  # first-use caches
     block = numerics._BLOCK
     assert _verify_peak_bytes(capsys, 16 * block) <= 1.2 * _verify_peak_bytes(capsys, 4 * block)
+
+
+def test_verify_sweep_catches_a_violation_in_a_late_block(capsys, monkeypatch):
+    real, blocks = solver._chain_rows, []
+
+    def planted(t):  # the top member drops below power:3 at the last t of the third block
+        blocks.append(t.size)
+        for label, expr, value in real(t):
+            if label == "max" and len(blocks) == 3:
+                value = np.where(t == t[-1], value - 1.0, value)
+            yield label, expr, value
+
+    monkeypatch.setattr(solver, "_chain_rows", planted)
+    pairs = 4 * numerics._BLOCK
+    assert run(capsys, "verify", "--which", "chain", "--pairs", str(pairs)) == (
+        1, f"pairs,{pairs}\nresult,FAIL\n", ""
+    )
+    assert blocks == [numerics._BLOCK] * 4
+
+
+def _fresh_verify_faults(pairs):
+    """Minor page faults of one fresh `verify --which chain --pairs N` process."""
+    argv = [sys.executable, "-m", "meanbounds.cli", "verify", "--which", "chain", "--pairs", str(pairs)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, env=env)
+    with proc.stdout:
+        out = proc.stdout.read()
+    _, status, usage = os.wait4(proc.pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert out == f"pairs,{pairs}\nresult,pass\n".encode()
+    return usage.ru_minflt
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's heap thresholds")
+def test_verify_sweep_reuses_its_heap_in_a_fresh_process():
+    # with glibc's default thresholds each block mapped, returned and faulted in
+    # its temporaries again: about 1 900 faults per block, 800 link by link alone
+    block = numerics._BLOCK
+    extra = _fresh_verify_faults(16 * block) - _fresh_verify_faults(4 * block)
+    assert extra / 12 <= 64
 
 
 def test_verify_seiffert_lehmer(capsys):

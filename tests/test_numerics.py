@@ -6,7 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from meanbounds.numerics import atan_sinh_ratio_m1, atan_tanh_ratio_m1, logcosh
+from meanbounds.numerics import LOG2, atan_sinh_ratio_m1, atan_tanh_ratio_m1, logcosh, logsinh
 
 RATIOS = {"tanh": (atan_tanh_ratio_m1, mp.tanh), "sinh": (atan_sinh_ratio_m1, mp.sinh)}
 
@@ -50,3 +50,17 @@ def test_logcosh_matches_high_precision():
             want = float(mp.log(mp.cosh(mp.mpf(x))))
         assert abs(logcosh(x) - want) <= 2 * np.spacing(want), x
         assert logcosh(-x) == logcosh(x)
+
+
+def test_far_rows_are_exact_and_never_overflow():
+    # past 700 (logcosh) and 400 (logsinh) e^(-2x) is 0 in binary64, so both
+    # far rows are x - log 2; under the suite's filterwarnings an overflow in
+    # forming -2x would raise here
+    x = 10.0 ** np.random.default_rng(7).uniform(math.log10(700.0), 300.0, 10**4)
+    with np.errstate(over="ignore", under="ignore"):
+        assert np.all(np.exp(-2.0 * x) == 0.0)
+    for big in (x, 1e308, np.finfo(float).max):
+        np.testing.assert_array_equal(logcosh(big), np.asarray(big) - LOG2)
+        np.testing.assert_array_equal(logcosh(-np.asarray(big)), np.asarray(big) - LOG2)
+        np.testing.assert_array_equal(logsinh(big), np.asarray(big) - LOG2)
+    assert logcosh(-1e308) == logsinh(1e308) == 1e308 - LOG2

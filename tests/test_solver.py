@@ -356,6 +356,35 @@ def test_chain_margins_stay_nonnegative_on_a_sweep():
     assert float(margins.min()) >= -1e-13
 
 
+def test_a_violation_in_the_last_link_of_a_late_block_is_caught(monkeypatch):
+    real, calls = solver._chain_rows, []
+
+    def planted(t):  # the top member drops below power:3 at the last t of the third block
+        calls.append(t.size)
+        for label, expr, value in real(t):
+            if label == "max" and len(calls) == 3:
+                value = np.where(t == t[-1], value - 1.0, value)
+            yield label, expr, value
+
+    monkeypatch.setattr(solver, "_chain_rows", planted)
+    b = np.exp(2.0 * np.logspace(-10, math.log10(13.8), 4 * numerics._BLOCK))
+    assert not verify_chain(1.0, b)
+    assert calls == [numerics._BLOCK] * 4  # every block is still checked
+    calls.clear()
+    assert verify_chain(1.0, b[: 2 * numerics._BLOCK])  # the planted block never runs
+    calls.clear()
+    margins = chain_margins(np.logspace(-10, 1, 3 * numerics._BLOCK))
+    assert np.argwhere(margins < -solver.TIE).tolist() == [[9, 3 * numerics._BLOCK - 1]]
+
+
+def test_chain_margins_reject_negative_nan_and_infinite_t():
+    for bad in (-1e-300, math.nan, math.inf, [0.5, -0.5], np.array([[1.0], [math.nan]])):
+        with pytest.raises(ValueError, match="t must be nonnegative and finite"):
+            chain_margins(bad)
+    assert chain_margins(0.0).shape == (10, 1)
+    assert chain_margins(np.array([[0.5, 1.0]])).shape == (10, 1, 2)
+
+
 def test_chain_table_rows_ascend():
     rows = chain_table(1.0, 3.0)
     assert len(rows) == 11
@@ -369,6 +398,9 @@ def test_chain_table_rows_ascend():
     scaled = chain_table(10.0, 30.0)
     for (_, _, v1), (_, _, v10) in zip(rows, scaled):
         assert v10 == pytest.approx(10.0 * v1, rel=1e-12)
+    # the top member is max(a, b) itself
+    for a, b in 10.0 ** np.random.default_rng(11).uniform(-12.0, 12.0, (200, 2)):
+        assert chain_table(a, b)[-1][2] == chain_table(b, a)[-1][2] == max(a, b)
 
 
 def test_squeeze_margins_positive_even_for_extreme_ratios():
