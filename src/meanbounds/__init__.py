@@ -4,7 +4,6 @@ from .kernels import (
     curvature_coefficient,
     curvature_kernel,
     log_gap,
-    log_gap_residual,
     log_gap_slope,
     slope_kernel,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "half_log_ratio",
     "literature_endpoints",
     "log_gap",
-    "log_gap_residual",
     "log_gap_slope",
     "log_mean_normalized",
     "parse_mean",

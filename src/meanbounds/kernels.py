@@ -44,7 +44,7 @@ import math
 
 import numpy as np
 
-from .means import MeanKind, _lognorm_power, _lognorm_sandor_yang, eval_mean, half_log_ratio
+from .means import _lognorm_power, _lognorm_sandor_yang
 from .numerics import (
     _ATAN_SERIES_Y,
     _COSH_MAX_ARG,
@@ -182,18 +182,3 @@ def log_gap_slope(t, p: float):
     """d/dt of log_gap = slope_kernel(t, p) / sinh^2(t), for t > 0."""
     with np.errstate(over="ignore"):
         return _piecewise(t, _SLOPE_OVER_SINH2_ROWS, float(p))
-
-
-def log_gap_residual(a: float, b: float, p: float) -> float:
-    """|log B(a,b) - log M_p(a,b) - log_gap(t, p)| with t the half log ratio.
-
-    Cross-checks the normalized kernel against the direct pair evaluation;
-    the contract is a residual below 1e-11.
-    """
-    if a == b:
-        raise ValueError("residual check requires distinct arguments")
-    t = half_log_ratio(a, b)
-    lhs = math.log(eval_mean(MeanKind("sandor-yang"), a, b)) - math.log(
-        eval_mean(MeanKind.power(p), a, b)
-    )
-    return abs(lhs - log_gap(t, p))

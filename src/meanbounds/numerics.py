@@ -17,7 +17,7 @@ once with np.float64 and checked once, by two comparisons, to be finite
 and in the domain; anything else goes through np.asarray.  An array call
 whose broadcast holds more than _BLOCK = 2^15 elements runs in blocks of
 that size, cut by _blocks, so that one call's temporaries stay near 2 MiB
-and in cache.  The verify sweeps cut their pairs with the same _blocks.
+and in cache.  The verify sweeps and chain_margins cut with _blocks.
 Those 256 KiB temporaries exceed glibc's default 128 KiB mmap threshold, so
 a fresh process maps and faults them in on every call until the threshold
 grows; the CLI's pair sweep raises it for its own process.

@@ -40,7 +40,7 @@ from .means import (
     log_mean_normalized,
     quadratic_coefficient,
 )
-from .numerics import _ATAN_RATIO_ROWS, _BLOCK, _bisect, _blocks, _piecewise, _square
+from .numerics import _ATAN_RATIO_ROWS, _bisect, _blocks, _piecewise, _square
 from .series import CHAIN_EXPONENTS
 
 # Grid used for "for all t" checks, per the solver design: 1e4 log-spaced
@@ -202,16 +202,8 @@ _CLOSED_FORMS: dict = {
     ("second-seiffert", "lehmer"): (lambda: 0.0, lambda: 1.0 / 3.0),
 }
 
-LITERATURE_MEANS = (
-    "log",
-    "identric",
-    "first-seiffert",
-    "second-seiffert",
-    "toader",
-    "neuman-sandor",
-    "yang",
-    "sandor",
-)
+# the surveyed means: every power row of the catalog but the paper's own mean
+LITERATURE_MEANS = tuple(m for m, fam in _CLOSED_FORMS if fam == "power" and m != "sandor-yang")
 
 
 def _closed_form(kind: MeanKind, family: str, side: str) -> Optional[float]:
@@ -223,11 +215,7 @@ def _closed_form(kind: MeanKind, family: str, side: str) -> Optional[float]:
 
 def literature_endpoints() -> list[EndpointReport]:
     """Recover both power-mean endpoints for each surveyed mean."""
-    reports = []
-    for tag in LITERATURE_MEANS:
-        for side in SIDES:
-            reports.append(best_exponent(MeanKind(tag), "power", side))
-    return reports
+    return [best_exponent(MeanKind(m), "power", side) for m in LITERATURE_MEANS for side in SIDES]
 
 
 # --- the peak of the log gap ------------------------------------------------
@@ -297,19 +285,24 @@ def _chain_links(t):
         below = above
 
 
+def _checked_t(t) -> np.ndarray:
+    """t as a float array, 0-d for a scalar; raises unless every element is finite and >= 0."""
+    arr = np.asarray(t, dtype=float)
+    if not (arr.min(initial=math.inf) >= 0.0 and arr.max(initial=0.0) < math.inf):
+        raise ValueError("t must be nonnegative and finite")
+    return arr
+
+
 def chain_margins(t) -> np.ndarray:
     """Adjacent log differences of the chain at finite t >= 0, shape (10,) + t's (at least 1-d).
 
     The chain holds at t iff all ten are >= -(TIE + 2 ulp(t)).
     """
-    arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if not (arr.min(initial=math.inf) >= 0.0 and arr.max(initial=0.0) < math.inf):
-        raise ValueError("t must be nonnegative and finite")
-    ts = arr.ravel()
-    out = np.empty((_CHAIN_LINKS, ts.size))
-    for start in range(0, ts.size, _BLOCK):
-        cols = slice(start, start + _BLOCK)
-        for link, margin in zip(out[:, cols], _chain_links(ts[cols])):
+    arr = np.atleast_1d(_checked_t(t))
+    out = np.empty((_CHAIN_LINKS, arr.size))
+    # each row of out is contiguous, so _blocks cuts it into writable views
+    for ts, *links in _blocks(arr.ravel(), *out):
+        for link, margin in zip(links, _chain_links(ts)):
             link[...] = margin
     return out.reshape((_CHAIN_LINKS,) + arr.shape)
 
@@ -331,9 +324,10 @@ def squeeze_margins(t):
 
     Both margins are evaluated in cancellation-free form — log Q - log A =
     log1p(tanh^2 t)/2 exactly, and the remaining piece is the arctan(tanh)
-    ratio series — so their positivity is meaningful down to t ~ 1e-150.
+    ratio series — so their positivity is meaningful down to t ~ 1e-150.  t
+    must be finite and >= 0; a scalar t gives two scalars.
     """
-    y = np.tanh(np.asarray(t, dtype=float))
+    y = np.tanh(_checked_t(t))
     ratio = _piecewise(y, _ATAN_RATIO_ROWS)  # arctan(y)/y - 1
     return 0.5 * np.log1p(_square(y)) + ratio, -ratio
 

@@ -21,7 +21,6 @@ from meanbounds import (
     gap_peak,
     literature_endpoints,
     log_gap,
-    log_gap_residual,
     log_gap_slope,
     peak_ratio,
     sharp_factor,
@@ -31,6 +30,8 @@ from meanbounds import (
     verify_seiffert_lehmer,
 )
 from meanbounds.solver import TIE
+
+from oracles import log_gap_residual
 
 SEED = 20260814
 

@@ -14,14 +14,13 @@ from meanbounds import (
     curvature_kernel,
     eval_mean,
     log_gap,
-    log_gap_residual,
     log_gap_slope,
     log_mean_normalized,
     sharp_factor,
     slope_kernel,
 )
 
-from oracles import curvature_oracle, gap_oracle, slope_oracle
+from oracles import curvature_oracle, gap_oracle, log_gap_residual, slope_oracle
 
 P_GRID = [-2.0, -0.5, 0.5, 1.0, 1.2, 4.0 / 3.0, 1.5, 2.0, 3.0]
 

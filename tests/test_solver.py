@@ -29,7 +29,12 @@ from meanbounds import (
     verify_seiffert_lehmer,
     verify_squeeze,
 )
-from meanbounds.solver import _CLOSED_FORMS, _bound_predicate, _mean_log_on_grid
+from meanbounds.solver import (
+    _CLOSED_FORMS,
+    LITERATURE_MEANS,
+    _bound_predicate,
+    _mean_log_on_grid,
+)
 
 # frozen from a 50-digit evaluation of the closed forms
 P0 = 1.2351702290504027
@@ -179,6 +184,20 @@ def test_second_seiffert_lehmer_endpoints():
     upper = best_exponent(MeanKind("second-seiffert"), "lehmer", "upper")
     assert upper.closed_form == pytest.approx(1.0 / 3.0, rel=1e-15)
     assert_sharp(upper.numeric, 1.0 / 3.0)
+
+
+def test_literature_means_are_pinned():
+    # read from the catalog's power rows: a catalog edit that changes the survey fails here
+    assert LITERATURE_MEANS == (
+        "log",
+        "identric",
+        "first-seiffert",
+        "second-seiffert",
+        "toader",
+        "neuman-sandor",
+        "yang",
+        "sandor",
+    )
 
 
 def test_literature_catalog_is_recovered():
@@ -385,6 +404,20 @@ def test_chain_margins_reject_negative_nan_and_infinite_t():
     assert chain_margins(np.array([[0.5, 1.0]])).shape == (10, 1, 2)
 
 
+def test_chain_margins_equal_one_call_per_block():
+    # a block whose links were written into a copy, not into the output, would be lost
+    block = numerics._BLOCK
+    t = 10.0 ** np.random.default_rng(24).uniform(-12.0, 2.5, (3, block + 1))
+    flat = t.ravel()
+    parts = [chain_margins(flat[i : i + block]) for i in range(0, flat.size, block)]
+    whole = chain_margins(t)
+    assert whole.shape == (10,) + t.shape
+    assert np.concatenate(parts, axis=1).tobytes() == whole.reshape(10, -1).tobytes()
+    one = np.array([[0.7]])
+    assert chain_margins(one).tobytes() == chain_margins(0.7).tobytes()
+    assert chain_margins(one).shape == (10, 1, 1)
+
+
 def test_chain_table_rows_ascend():
     rows = chain_table(1.0, 3.0)
     assert len(rows) == 11
@@ -411,6 +444,19 @@ def test_squeeze_margins_positive_even_for_extreme_ratios():
     # below ~1e-154 the t^2-sized margins underflow, but never to a wrong sign
     tiny_lower, tiny_upper = squeeze_margins(np.array([1e-200]))
     assert tiny_lower[0] >= 0.0 and tiny_upper[0] >= 0.0
+
+
+def test_squeeze_margins_reject_negative_nan_and_infinite_t():
+    # tanh(-1) = -0.76 once fell to the arctan series row, whose radius is 0.1
+    for bad in (-1.0, -1e-300, math.nan, math.inf, [0.5, -0.5], np.array([[1.0], [math.nan]])):
+        with pytest.raises(ValueError, match="t must be nonnegative and finite"):
+            squeeze_margins(bad)
+    lower, upper = squeeze_margins(0.0)
+    assert np.ndim(lower) == np.ndim(upper) == 0 and isinstance(lower, float)
+    assert lower == upper == 0.0
+    lower, upper = squeeze_margins(0.5)
+    assert isinstance(lower, float) and lower > 0 and upper > 0
+    assert [m.shape for m in squeeze_margins(np.array([[0.0, 0.5]]))] == [(1, 2), (1, 2)]
 
 
 def test_squeeze_on_pairs():
