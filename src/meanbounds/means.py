@@ -40,7 +40,6 @@ from .numerics import (
     LOG2,
     _ATAN_RATIO_ROWS,
     _GAUSS_KUMMER,
-    _atan_sinh_ratio_m1,
     _elementwise,
     _ellipe_agm,
     _horner,
@@ -240,7 +239,11 @@ _PLAIN = {
         2.0 / 3.0,
         0.5 * LOG2 - math.log(math.pi),
     ),
-    "sandor": (lambda t: _logcosh(t) + _atan_sinh_ratio_m1(t), 1.0 / 6.0, -(1.0 + LOG2)),
+    "sandor": (
+        lambda t: _logcosh(t) + _piecewise(_sinh_clipped(t), _ATAN_RATIO_ROWS),
+        1.0 / 6.0,
+        -(1.0 + LOG2),
+    ),
     "toader": (lambda t: _piecewise(t, _TOADER_ROWS), 3.0 / 4.0, LOG2 - math.log(math.pi)),
     "sandor-yang": (_lognorm_sandor_yang, 2.0 / 3.0, math.pi / 4.0 - 1.0 - 0.5 * LOG2),
 }

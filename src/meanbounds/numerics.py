@@ -2,14 +2,14 @@
 
 Everything here is overflow-safe binary64: log cosh, one closed row up to
 |x| = 700 and a far row beyond, where 2 sinh^2(x/2) nears overflow, so that
-an ordinary array never splits; log sinh, with a far row past 20; the ratio
-arctan(y)/y - 1 at y = tanh x and y = sinh x, summed as its Taylor series in
-y below y = 0.1, where the direct quotient would cancel; the Gauss-Kummer
-coefficients of the Toader mean; and an AGM evaluation of the complete
-elliptic integral of the second kind.  It also holds the helpers the
-package shares: the scalar/array boundary of its public functions with its
-block cutter, the branch table of every piecewise evaluator, Horner's rule
-and bisection.
+an ordinary array never splits; log sinh, with a far row past 20; the rows
+of arctan(y)/y - 1, its Taylor series in y below y = 0.1, where the direct
+quotient would cancel; the Gauss-Kummer coefficients of the Toader mean;
+and an AGM evaluation of the complete elliptic integral E.  These are
+private, one entry each, called past the boundary on numpy float64 scalars
+and arrays.  The module also holds the helpers the package shares: the
+boundary of the package's public functions with its block cutter, the
+branch table of every piecewise evaluator, Horner's rule and bisection.
 
 At the boundary a number (any numbers.Number: int, float, Fraction,
 Decimal, a numpy scalar) or a string is a scalar by its type, converted
@@ -61,7 +61,7 @@ def _blocks(*arrs):
         yield [flat if len(flat) == 1 else flat[i : i + _BLOCK] for flat in flats]
 
 
-def _elementwise(domain=None, arrays=1, lead=0):
+def _elementwise(domain, arrays=1, lead=0):
     """The scalar/array boundary of every public elementwise function.
 
     The decorated function receives its `arrays` array arguments, those after
@@ -73,7 +73,7 @@ def _elementwise(domain=None, arrays=1, lead=0):
     comes back.  A broadcast of more than _BLOCK elements is checked whole,
     then computed in the blocks that _blocks cuts, into one output.
     """
-    check = {"positive": operator.gt, "nonnegative": operator.ge}.get(domain)
+    check = {"positive": operator.gt, "nonnegative": operator.ge}[domain]
 
     def decorate(fn):
         names = fn.__code__.co_varnames[: lead + arrays]
@@ -88,10 +88,10 @@ def _elementwise(domain=None, arrays=1, lead=0):
                     x = np.asarray(x, dtype=float)
                 if type(x) is np.ndarray and x.ndim:
                     scalar = False
-                    lo, hi = (x.min(initial=math.inf), x.max(initial=0.0)) if check else (x, x)
+                    lo, hi = x.min(initial=math.inf), x.max(initial=0.0)
                 else:
                     lo = hi = x = np.float64(x)
-                if check and not (check(lo, 0.0) and hi < math.inf):
+                if not (check(lo, 0.0) and hi < math.inf):
                     raise ValueError(f"{' and '.join(names[lead:])} must be {domain} and finite")
                 xs.append(x)
             if scalar:
@@ -188,8 +188,7 @@ _LOGCOSH_ROWS = (
 )
 
 
-@_elementwise()
-def logcosh(x):
+def _logcosh(x):
     """log(cosh(x)) without overflow, within 2 ulp for all x.
 
     log1p(2 sinh^2(x/2)) keeps every digit down to x = 0 and is finite up to
@@ -211,14 +210,9 @@ _LOGSINH_ROWS = (
 )
 
 
-@_elementwise()
-def logsinh(x):
+def _logsinh(x):
     """log(sinh(x)) for x > 0 without overflow."""
     return _piecewise(x, _LOGSINH_ROWS)
-
-
-# the undecorated functions, for callers already past the boundary
-_logcosh, _logsinh = logcosh.__wrapped__, logsinh.__wrapped__
 
 
 # sinh overflows past ~710; arctan(sinh) is pi/2 and arctan(sinh)/sinh - 1 is
@@ -240,31 +234,13 @@ def _atan_series(y):
     return _horner(_ATAN_SERIES, _square(y))
 
 
-# rows of arctan(y)/y - 1 in y
+# rows of arctan(y)/y - 1 in y >= 0, within 5e-14 relative: at y = tanh x
+# and y = sinh x, against mpmath on 8 000 x in [1e-150, 10], the worst is
+# 3.6e-14, just past the switch (sinh x = 0.1003), where the quotient cancels
 _ATAN_RATIO_ROWS = (
     (lambda y: y < _ATAN_SERIES_Y, lambda y: _atan_series(y) * _square(y)),
     (None, lambda y: np.arctan(y) / y - 1.0),
 )
-
-
-@_elementwise()
-def atan_tanh_ratio_m1(x):
-    """arctan(tanh x)/tanh(x) - 1, relative-accurate for all x >= 0.
-
-    The direct quotient loses all its digits below x ~ 1e-8 (the ratio is
-    1 - x^2/3 + ...); below tanh x = 0.1 the arctan series in tanh x keeps
-    them.
-    """
-    return _piecewise(np.tanh(x), _ATAN_RATIO_ROWS)
-
-
-@_elementwise()
-def atan_sinh_ratio_m1(x):
-    """arctan(sinh x)/sinh(x) - 1, relative-accurate for all x >= 0."""
-    return _piecewise(_sinh_clipped(x), _ATAN_RATIO_ROWS)
-
-
-_atan_sinh_ratio_m1 = atan_sinh_ratio_m1.__wrapped__
 
 
 # --- elliptic integrals ---------------------------------------------------
@@ -297,14 +273,12 @@ def _agm(m):
 _ELLIPE_ROWS = ((lambda m: m == 1.0, np.ones_like), (None, _agm))
 
 
-@_elementwise()
-def ellipe_agm(m):
-    """Complete elliptic integral E(m) = int_0^{pi/2} sqrt(1 - m sin^2) dθ.
+def _ellipe_agm(m):
+    """Complete elliptic integral E(m) = int_0^{pi/2} sqrt(1 - m sin^2) dθ, m in [0, 1].
 
-    Arithmetic-geometric-mean iteration; quadratic convergence gives full
-    binary64 accuracy on m in [0, 1] (m = 1 returns the exact limit 1).
+    Arithmetic-geometric-mean iteration, with the exact limit 1 at m = 1.
+    Against mpmath it is within 3 ulp on m in [0, 0.9] and within 24 ulp on
+    10^3 log-spaced 1 - m in [1e-16, 0.1] (23.2 at 1 - m = 5.5e-15), where
+    the sum of the c_n^2 cancels against 1.
     """
     return _piecewise(m, _ELLIPE_ROWS)
-
-
-_ellipe_agm = ellipe_agm.__wrapped__

@@ -118,6 +118,20 @@ def slope_oracle(t, p):
         )
 
 
+def slope_root_oracle(p):
+    """The root t0 of slope_kernel(., p) for p just above 1, near 0.2805/(p - 1).
+
+    It solves sinh(t) cosh((p-1)t) / cosh(pt) = arctan(tanh t): a quotient
+    of O(1), not a difference of huge terms, so 50 digits hold at t0 ~ 1e11.
+    """
+    p = mp.mpf(p)
+
+    def kernel(t):
+        return mp.sinh(t) * mp.cosh((p - 1) * t) / mp.cosh(p * t) - mp.atan(mp.tanh(t))
+
+    return float(mp.findroot(kernel, mp.mpf("0.2805") / (p - 1)))
+
+
 def curvature_oracle(t, p):
     t, p = mp.mpf(t), mp.mpf(p)
     return (

@@ -7,7 +7,9 @@ scalar call runs only its live branch and passes the scalar/array boundary
 once, with few Python calls around its ufuncs.
 """
 
+import importlib
 import math
+import pkgutil
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -31,13 +33,13 @@ from meanbounds import (
 )
 from meanbounds.means import PLAIN_TAGS
 from meanbounds.numerics import (
+    _ATAN_RATIO_ROWS,
     _BLOCK,
+    _ellipe_agm,
+    _logcosh,
+    _logsinh,
     _piecewise,
-    atan_sinh_ratio_m1,
-    atan_tanh_ratio_m1,
-    ellipe_agm,
-    logcosh,
-    logsinh,
+    _sinh_clipped,
 )
 
 # both branches of every kernel: the curvature series below 1e-3, the
@@ -72,8 +74,8 @@ def test_scalar_and_array_contract(name):
 
 # t = 0 and each branch cut with its neighbours one ulp away: the curvature
 # series (1e-3), the slope series (0.1), the ratio series (tanh t or sinh t
-# = 0.1), the Toader series (0.3), logsinh (20), the far forms of
-# curvature_kernel at p = 1.2 (350) and of logcosh (700), and 1
+# = 0.1), the Toader series (0.3), _logsinh (20), the far forms of
+# curvature_kernel at p = 1.2 (350) and of _logcosh (700), and 1
 CUTS = np.array(
     [0.0, 0.05, 3.0]
     + [
@@ -89,6 +91,12 @@ KINDS = (
     + [MeanKind.lehmer(p) for p in (0.5, -1.5)]
 )
 
+
+def _past_the_boundary(fn):
+    """A private primitive called as the evaluators call it: on a numpy float64 scalar or an array."""
+    return lambda t: float(fn(np.float64(t))) if isinstance(t, float) else fn(t)
+
+
 # functions of t, and whether they take t = 0; a pair with half log ratio t
 # is (0.3 e^-t, 0.3 e^t), as e^2t overflows at t = 700
 AT_CUTS = {
@@ -103,13 +111,19 @@ AT_CUTS = {
     # |p| >= 2 takes another form of the slope series
     "slope_kernel_p3": (lambda t: slope_kernel(t, 3.0), True),
     "log_gap_slope_p3": (lambda t: log_gap_slope(t, 3.0), False),
-    "logcosh": (logcosh, True),
-    "logcosh_negative": (lambda t: logcosh(-t), True),
-    "logsinh": (logsinh, False),
-    "atan_tanh_ratio_m1": (atan_tanh_ratio_m1, True),
-    "atan_sinh_ratio_m1": (atan_sinh_ratio_m1, True),
+    "_logcosh": (_past_the_boundary(_logcosh), True),
+    "_logcosh_negative": (_past_the_boundary(lambda t: _logcosh(-t)), True),
+    "_logsinh": (_past_the_boundary(_logsinh), False),
+    "_atan_ratio_rows[tanh]": (
+        _past_the_boundary(lambda t: _piecewise(np.tanh(t), _ATAN_RATIO_ROWS)),
+        True,
+    ),
+    "_atan_ratio_rows[sinh]": (
+        _past_the_boundary(lambda t: _piecewise(_sinh_clipped(t), _ATAN_RATIO_ROWS)),
+        True,
+    ),
     # m = 1 exactly from t = 20 on
-    "ellipe_agm": (lambda t: ellipe_agm(-np.expm1(-4.0 * t)), True),
+    "_ellipe_agm": (_past_the_boundary(lambda t: _ellipe_agm(-np.expm1(-4.0 * t))), True),
 }
 for _kind in KINDS:
     AT_CUTS[f"log_mean_normalized[{_kind.label()}]"] = (
@@ -403,7 +417,7 @@ SCALAR_CALL_EVENTS = {
     "second-seiffert": 24,
     "neuman-sandor": 24,
     "yang": 26,
-    "sandor": 32,
+    "sandor": 31,
     "toader": 27,
     "sandor-yang": 30,
     "power:1.7": 29,
@@ -452,6 +466,39 @@ def test_gap_peak_stops_bisecting_at_a_fixed_point(monkeypatch):
     # oracle at p = 1.2 is 5.2e-16 relative above it
     assert solver.gap_peak(1.2) == float.fromhex("0x1.3b5cd900f0be4p+0")
     assert len(calls) <= 60
+
+
+def test_the_boundary_wraps_the_public_api_only():
+    modules = [
+        importlib.import_module(f"meanbounds.{info.name}")
+        for info in pkgutil.iter_modules(meanbounds.__path__)
+    ]
+    boundary = numerics._elementwise("positive")(lambda x: x).__code__
+    decorated = [
+        fn
+        for module in modules
+        for fn in vars(module).values()
+        if getattr(fn, "__code__", None) is boundary
+    ]
+    assert decorated
+    public = {name: getattr(meanbounds, name) for name in meanbounds.__all__}
+    assert not [fn.__qualname__ for fn in decorated if public.get(fn.__name__) is not fn]
+    # one entry per function: no module binds the function a boundary wraps
+    wrapped = [fn.__wrapped__ for fn in decorated]
+    assert not [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name, obj in vars(module).items()
+        if any(obj is fn for fn in wrapped)
+    ]
+    # the primitives and helpers of numerics are private
+    assert not [
+        name
+        for name, obj in vars(numerics).items()
+        if callable(obj)
+        and not name.startswith("_")
+        and getattr(obj, "__module__", None) == numerics.__name__
+    ]
 
 
 def test_public_names_are_pinned():

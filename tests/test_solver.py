@@ -6,7 +6,7 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
-from oracles import mean_oracle
+from oracles import mean_oracle, slope_root_oracle
 
 from meanbounds import numerics, solver
 from meanbounds import (
@@ -136,6 +136,17 @@ def test_gap_peak_domain():
     for bad in (0.5, 1.0, 4.0 / 3.0, 2.0):
         with pytest.raises(ValueError):
             gap_peak(bad)
+
+
+def test_gap_peak_near_the_unit_exponent():
+    # t0 ~ 0.28/(p - 1) lay past the bracket's old cap of 1e7 below p = 1 + 3.4e-8
+    for gap in (3.3e-8, 1e-8, 1e-10, 1e-12):
+        p = 1.0 + gap
+        assert gap_peak(p) == pytest.approx(slope_root_oracle(p), rel=5e-5)
+    # below 1 + 1e-12 slope_kernel, about t ulp off, cannot place t0 > 2.8e11
+    for p in (1.0 + 0.99e-12, 1.0 + 1e-13, math.nextafter(1.0, 2.0)):
+        with pytest.raises(ValueError, match=r"^parameter outside \[1 \+ 1e-12, 4/3\)$"):
+            gap_peak(p)
 
 
 def test_peak_bound_holds_with_equality_only_at_the_peak():
