@@ -58,7 +58,8 @@ from .numerics import (
 )
 
 _CURV_SERIES_RADIUS = 1e-3
-_CURV_SERIES_TERMS = 8
+# (n, (2n)!) of the series' 8 terms, built once, not per call
+_CURV_SERIES_TERMS = [(n, math.factorial(2 * n)) for n in range(1, 9)]
 
 
 def curvature_coefficient(n: int, p):
@@ -69,6 +70,14 @@ def curvature_coefficient(n: int, p):
     if n < 1:
         raise ValueError("coefficient index must be >= 1")
     return (2 - p) ** (2 * n) - p ** (2 * n) + (1 - p) * 4**n + 2 * p
+
+
+def _exponent(p) -> float:
+    """The exponent p as a float; NaN and +/-inf raise."""
+    p = float(p)
+    if not -math.inf < p < math.inf:
+        raise ValueError("p must be finite")
+    return p
 
 
 def _slope_over_sinh2(t, p: float):
@@ -102,9 +111,9 @@ def slope_kernel(t, p: float):
     """f(t) = -arctan(tanh t) + sinh(t) cosh(t) - tanh(pt) sinh^2(t).
 
     Continuous extension 0 at t = 0; behaves like (4/3 - p) t^3 near zero and
-    tends to 1/2 - pi/4 as t -> infinity when p > 1.
+    tends to 1/2 - pi/4 as t -> infinity when p > 1.  p must be finite.
     """
-    return _piecewise(t, _SLOPE_ROWS, float(p))
+    return _piecewise(t, _SLOPE_ROWS, _exponent(p))
 
 
 def _curv_terms(p: float):
@@ -114,8 +123,7 @@ def _curv_terms(p: float):
 
 def _curv_series(t, p: float):
     x = _square(t)
-    ns = range(1, _CURV_SERIES_TERMS + 1)
-    coeffs = [curvature_coefficient(n, p) / math.factorial(2 * n) for n in ns]
+    coeffs = [curvature_coefficient(n, p) / factorial for n, factorial in _CURV_SERIES_TERMS]
     return _horner(coeffs, x) * x
 
 
@@ -146,8 +154,8 @@ _CURV_ROWS = (
 
 @_elementwise("nonnegative")
 def curvature_kernel(t, p: float):
-    """cosh((p-2)t) - cosh(pt) + (1-p)cosh(2t) + 2p cosh(t) - p - 1, for t >= 0."""
-    return _piecewise(t, _CURV_ROWS, float(p))
+    """cosh((p-2)t) - cosh(pt) + (1-p)cosh(2t) + 2p cosh(t) - p - 1, for t >= 0 and finite p."""
+    return _piecewise(t, _CURV_ROWS, _exponent(p))
 
 
 @_elementwise("nonnegative")
@@ -155,11 +163,14 @@ def log_gap(t, p: float):
     """log B - log M_p on the normalized pair (e^-t, e^t).
 
     Vanishes at t = 0; tends to pi/4 - log2/2 + log2/p - 1 as t -> infinity
-    for p > 0.  Requires p != 0 (the power mean exponent appears as 1/p).
+    for p > 0.  Requires p != 0 (the power mean exponent appears as 1/p) and
+    not NaN; at p = +/-inf M_p is max/min.
     """
     p = float(p)
     if p == 0.0:
         raise ValueError("log_gap requires a nonzero exponent")
+    if p != p:
+        raise ValueError("p must not be NaN")
     return _lognorm_sandor_yang(t) - _lognorm_power(p, t)
 
 
@@ -179,6 +190,7 @@ _SLOPE_OVER_SINH2_ROWS = (
 
 @_elementwise("positive")
 def log_gap_slope(t, p: float):
-    """d/dt of log_gap = slope_kernel(t, p) / sinh^2(t), for t > 0."""
+    """d/dt of log_gap = slope_kernel(t, p) / sinh^2(t), for t > 0 and finite p."""
+    p = _exponent(p)
     with np.errstate(over="ignore"):
-        return _piecewise(t, _SLOPE_OVER_SINH2_ROWS, float(p))
+        return _piecewise(t, _SLOPE_OVER_SINH2_ROWS, p)

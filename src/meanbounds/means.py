@@ -123,9 +123,11 @@ _HALF_LOG_RATIO_ROWS = (
 def _half_log_ratio(a, b):
     if type(a) is np.ndarray:
         lo, hi = np.minimum(a, b), np.maximum(a, b)
-    else:  # past the boundary neither is NaN, so one comparison orders them
-        lo, hi = (a, b) if a <= b else (b, a)
-    return _piecewise(lo, _HALF_LOG_RATIO_ROWS, hi)
+        return _piecewise(lo, _HALF_LOG_RATIO_ROWS, hi)
+    # past the boundary neither is NaN, so one comparison orders them; t comes
+    # back a Python float, for the cheap arithmetic of the rows built on it
+    lo, hi = (a, b) if a <= b else (b, a)
+    return float(_piecewise(lo, _HALF_LOG_RATIO_ROWS, hi))
 
 
 @_elementwise("positive", arrays=2)
@@ -142,7 +144,7 @@ def half_log_ratio(a, b):
 
 # --- normalized log-mean evaluators ----------------------------------------
 #
-# Each evaluator takes t > 0, an array or a numpy scalar, and returns log m(t)
+# Each evaluator takes t > 0, an array or a Python float, and returns log m(t)
 # elementwise.  t == 0, where several forms are 0/0, is a branch of its own in
 # log_mean_normalized and eval_mean.
 
@@ -151,7 +153,7 @@ def _lognorm_power(p: float, t):
     if p == 0.0:
         return t * 0.0  # +0.0: every t that reaches an evaluator is positive and finite
     if math.isinf(p):
-        return t.copy() if p > 0 else -t
+        return +t if p > 0 else -t  # +t: a copy of an array
     if abs(p) < _POWER_SMALL_P:
         return 0.5 * p * t * t
     return _logcosh(p * t) / p
@@ -274,10 +276,10 @@ def _halved(t, a, b, lognorm):
     return half * (np.sqrt(a) * np.sqrt(b)) * half
 
 
-# the half log ratio is 0 exactly where a == b; log m <= t, so exp(log m)
-# is finite up to t = log(DBL_MAX) = 709.78
+# the half log ratio is 0 exactly where a == b (+a copies an array); log m <= t,
+# so exp(log m) is finite up to t = log(DBL_MAX) = 709.78
 _EVAL_ROWS = (
-    (lambda t, a, b, lognorm: t == 0.0, lambda t, a, b, lognorm: a.copy()),
+    (lambda t, a, b, lognorm: t == 0.0, lambda t, a, b, lognorm: +a),
     (lambda t, a, b, lognorm: t > 709.78, _halved),
     # log m first, so that sqrt(ab) is not held while it is evaluated
     (None, lambda t, a, b, lognorm: np.exp(lognorm(t)) * (np.sqrt(a) * np.sqrt(b))),

@@ -6,15 +6,19 @@ an ordinary array never splits; log sinh, with a far row past 20; the rows
 of arctan(y)/y - 1, its Taylor series in y below y = 0.1, where the direct
 quotient would cancel; the Gauss-Kummer coefficients of the Toader mean;
 and an AGM evaluation of the complete elliptic integral E.  These are
-private, one entry each, called past the boundary on numpy float64 scalars
-and arrays.  The module also holds the helpers the package shares: the
-boundary of the package's public functions with its block cutter, the
+private, one entry each, called past the boundary on Python floats and
+numpy float64 arrays.  The module also holds the helpers the package shares:
+the boundary of the package's public functions with its block cutter, the
 branch table of every piecewise evaluator, Horner's rule and bisection.
 
-At the boundary a number (any numbers.Number: int, float, Fraction,
-Decimal, a numpy scalar) or a string is a scalar by its type, converted
-once with np.float64 and checked once, by two comparisons, to be finite
-and in the domain; anything else goes through np.asarray.  An array call
+At the boundary a Python float in the domain passes as it is, checked by
+one chained comparison.  Any other number (any numbers.Number: int,
+Fraction, Decimal, a numpy scalar) or a string is a scalar by its type,
+converted once with float() and checked once, by two comparisons, to be
+finite and in the domain; anything else goes through np.asarray.  Past the
+boundary a scalar is a Python float: its arithmetic and comparisons give
+numpy's bits at a fraction of the cost of numpy scalars, and a ufunc gives
+the same bits for a float as for an np.float64.  An array call
 whose broadcast holds more than _BLOCK = 2^15 elements runs in blocks of
 that size, cut by _blocks, so that one call's temporaries stay near 2 MiB
 and in cache.  The verify sweeps and chain_margins cut with _blocks.
@@ -67,20 +71,28 @@ def _elementwise(domain, arrays=1, lead=0):
     The decorated function receives its `arrays` array arguments, those after
     its first `lead` ones, checked to be finite and `domain` ("positive" or
     "nonnegative"; NaN is neither).  When all of them are scalars (a number or
-    a string by type, converted once with np.float64, or a 0-d array) it gets
-    them as numpy float64 scalars and the result comes back as a float;
-    otherwise it gets float arrays of at least one dimension and its array
-    comes back.  A broadcast of more than _BLOCK elements is checked whole,
-    then computed in the blocks that _blocks cuts, into one output.
+    a string by type, converted once with float(), or a 0-d array) it gets
+    them as Python floats and the result comes back as a float; otherwise it
+    gets float arrays of at least one dimension and its array comes back.
+    Positional Python floats in the domain skip the conversion.  A broadcast
+    of more than _BLOCK elements is checked whole, then computed in the
+    blocks that _blocks cuts, into one output.
     """
-    check = {"positive": operator.gt, "nonnegative": operator.ge}[domain]
+    # the least float of the domain: math.ulp(0.0) is the least positive one
+    least = {"positive": math.ulp(0.0), "nonnegative": 0.0}[domain]
 
     def decorate(fn):
         names = fn.__code__.co_varnames[: lead + arrays]
 
         @wraps(fn)
         def boundary(*args, **kwargs):
-            if kwargs:
+            if not kwargs:
+                for x in args[lead : lead + arrays]:
+                    if type(x) is not float or not least <= x < math.inf:
+                        break
+                else:
+                    return float(fn(*args))
+            else:
                 args += tuple(kwargs.pop(name) for name in names[len(args) :])
             xs, scalar = [], True
             for x in args[lead : lead + arrays]:
@@ -90,13 +102,13 @@ def _elementwise(domain, arrays=1, lead=0):
                     scalar = False
                     lo, hi = x.min(initial=math.inf), x.max(initial=0.0)
                 else:
-                    lo = hi = x = np.float64(x)
-                if not (check(lo, 0.0) and hi < math.inf):
+                    lo = hi = x = float(x)
+                if not (least <= lo and hi < math.inf):
                     raise ValueError(f"{' and '.join(names[lead:])} must be {domain} and finite")
                 xs.append(x)
             if scalar:
                 return float(fn(*args[:lead], *xs, *args[lead + arrays :], **kwargs))
-            arrs = [x if x.ndim else x.reshape(1) for x in xs]
+            arrs = [np.atleast_1d(x) for x in xs]
             broadcast = np.broadcast(*arrs)
             if broadcast.size <= _BLOCK:
                 return fn(*args[:lead], *arrs, *args[lead + arrays :], **kwargs)
@@ -117,8 +129,8 @@ def _piecewise(x, rows, *more):
     The predicates are disjoint and the last row takes every x they leave.
     Each predicate and fn gets x followed by `more`: its arrays broadcast to
     x's shape and split with x, anything else (a parameter, an evaluator) as
-    it is, so that rows are built once, not per call.  On a numpy scalar x
-    only the live row runs, with no mask.  On an array each fn runs on the
+    it is, so that rows are built once, not per call.  On a scalar x only
+    the live row runs, with no mask.  On an array each fn runs on the
     elements of its row, or on all of x when they are all of its row.
     """
     if type(x) is not np.ndarray:
@@ -152,6 +164,8 @@ def _square(x):
 
 def _horner(coeffs, x):
     """sum_k coeffs[k] * x^k by Horner's rule, elementwise in x."""
+    if type(x) is not np.ndarray:
+        x = float(x)  # numpy's bits, at a fraction of a numpy scalar's cost per step
     # the first step from acc = 0, as x * 0.0 keeps the shape and NaNs of x
     acc = x * 0.0 + coeffs[-1]
     for c in coeffs[-2::-1]:
@@ -217,7 +231,7 @@ def _logsinh(x):
 
 # sinh overflows past ~710; arctan(sinh) is pi/2 and arctan(sinh)/sinh - 1 is
 # -1.0 to machine precision long before the clip point, so clipping is exact.
-# min clips a numpy scalar at a fifth of the cost of np.minimum, with the same bits.
+# min clips a scalar at a fraction of the cost of np.minimum, with the same bits.
 def _sinh_clipped(x):
     return np.sinh(np.minimum(x, 300.0) if type(x) is np.ndarray else min(x, 300.0))
 

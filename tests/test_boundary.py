@@ -93,8 +93,8 @@ KINDS = (
 
 
 def _past_the_boundary(fn):
-    """A private primitive called as the evaluators call it: on a numpy float64 scalar or an array."""
-    return lambda t: float(fn(np.float64(t))) if isinstance(t, float) else fn(t)
+    """A private primitive called as the evaluators call it: on a Python float or an array."""
+    return lambda t: float(fn(t)) if isinstance(t, float) else fn(t)
 
 
 # functions of t, and whether they take t = 0; a pair with half log ratio t
@@ -269,7 +269,7 @@ def test_infinite_arguments_raise_before_any_evaluator_runs():
     )
 
 
-# a number or a string is a scalar by type, converted once with np.float64 to
+# a number or a string is a scalar by type, converted once with float() to
 # the value np.asarray(x, dtype=float) gives; the results are frozen as hex
 SCALAR_TYPES = [
     (3, "0x1.1a2453378cf33p+1", "0x1.1a784e1c7e180p-6"),
@@ -289,6 +289,83 @@ def test_every_scalar_type_gives_a_float_of_its_value(x, mean, gap):
     assert type(value) is float and value == float.fromhex(mean)
     value = log_gap(x, 1.2)
     assert type(value) is float and value == float.fromhex(gap)
+
+
+# a scalar of each type, made from a float drawn log-uniform: int rounds it
+# up, np.float32 rounds it to single precision
+SCALAR_MAKERS = {
+    "float": float,
+    "int": math.ceil,
+    "np.float64": np.float64,
+    "np.float32": np.float32,
+    "0-d array": np.array,
+}
+
+# functions of one array argument, and whether it may be 0: the four
+# kernels (log_gap also at p = +/-inf, where M_p is max/min) and every kind
+FUNCTIONS_OF_T = {
+    **{
+        f"{fn.__name__}({p})": (lambda t, fn=fn, p=p: fn(t, p), fn is not log_gap_slope)
+        for fn in (slope_kernel, curvature_kernel, log_gap, log_gap_slope)
+        for p in (1.2, 3.0, 0.5, -1.0, 1e6)
+    },
+    "log_gap(inf)": (lambda t: log_gap(t, math.inf), True),
+    "log_gap(-inf)": (lambda t: log_gap(t, -math.inf), True),
+    **{
+        f"log_mean_normalized[{kind.label()}]": (
+            lambda t, kind=kind: log_mean_normalized(kind, t),
+            True,
+        )
+        for kind in KINDS
+    },
+}
+# functions of a pair
+FUNCTIONS_OF_A_PAIR = {
+    "half_log_ratio": half_log_ratio,
+    **{
+        f"eval_mean[{kind.label()}]": lambda a, b, kind=kind: eval_mean(kind, a, b)
+        for kind in KINDS
+    },
+}
+
+
+@pytest.mark.parametrize("maker", sorted(SCALAR_MAKERS))
+def test_scalar_calls_of_every_type_give_the_bits_of_the_array_call(maker):
+    make = SCALAR_MAKERS[maker]
+    rng = np.random.default_rng(26)
+    # t up to 700 crosses every branch cut; pair ratios up to 1e60 reach t = 69
+    t = [make(x) for x in (10.0 ** rng.uniform(-8.0, math.log10(700.0), 64)).tolist()]
+    a, b = ([make(x) for x in (10.0 ** rng.uniform(-30.0, 30.0, 64)).tolist()] for _ in "ab")
+    for name, (fn, _) in FUNCTIONS_OF_T.items():
+        scalars = [fn(x) for x in t]
+        assert all(type(v) is float for v in scalars), name
+        want = fn(np.asarray(t, dtype=float))
+        np.testing.assert_array_equal(_bits(scalars), _bits(want), err_msg=name)
+    for name, fn in FUNCTIONS_OF_A_PAIR.items():
+        scalars = [fn(x, y) for x, y in zip(a, b)]
+        assert all(type(v) is float for v in scalars), name
+        want = fn(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+        np.testing.assert_array_equal(_bits(scalars), _bits(want), err_msg=name)
+
+
+# pairs whose ratio exceeds DBL_MAX, both orders, and t up to DBL_MAX
+EXTREME_PAIRS = [(1e-200, 1e200), (5e-324, 1.0), (1e-308, 1e308)]
+EXTREME_T = [0.0, 5e-324, 710.0, 1e300, 1.6e308, np.finfo(float).max]
+
+
+def test_scalar_calls_at_the_extremes_give_the_bits_of_the_array_call():
+    # Python float arithmetic overflows to +/-inf with no warning and no
+    # OverflowError, as numpy does under np.errstate(all="ignore")
+    t = np.array(EXTREME_T)
+    a, b = np.array(EXTREME_PAIRS + [(y, x) for x, y in EXTREME_PAIRS]).T
+    with np.errstate(all="ignore"):
+        for name, (fn, takes_zero) in FUNCTIONS_OF_T.items():
+            ts = t if takes_zero else t[t > 0.0]
+            scalars = [fn(x) for x in ts.tolist()]
+            np.testing.assert_array_equal(_bits(scalars), _bits(fn(ts)), err_msg=name)
+        for name, fn in FUNCTIONS_OF_A_PAIR.items():
+            scalars = [fn(x, y) for x, y in zip(a.tolist(), b.tolist())]
+            np.testing.assert_array_equal(_bits(scalars), _bits(fn(a, b)), err_msg=name)
 
 
 # zero, negative, NaN and infinite values of every scalar type
@@ -402,35 +479,36 @@ def _events(call):
 
 
 # the Python work around the ufuncs of one scalar call: the counts of this
-# code (CPython 3.11, numpy 2.4), each from 3 to 17 below those of a boundary
-# that made an array per argument and of rows and closures built per call.
-# A count weighs a cheap builtin as much as a Python call: it guards against
-# added work, it does not measure cost
+# code (CPython 3.11, numpy 2.4), each from 3 to 10 below those of a boundary
+# that converted every scalar with np.float64, checked it with a comparison
+# function and collected it in a list, as Python floats pass it with one
+# chained comparison each.  A count weighs a cheap builtin as much as a
+# Python call: it guards against added work, it does not measure cost
 SCALAR_CALL_EVENTS = {
-    "harmonic": 28,
-    "geometric": 20,
-    "arithmetic": 28,
-    "quadratic": 28,
-    "log": 24,
-    "identric": 20,
-    "first-seiffert": 26,
-    "second-seiffert": 24,
-    "neuman-sandor": 24,
-    "yang": 26,
-    "sandor": 31,
-    "toader": 27,
-    "sandor-yang": 30,
-    "power:1.7": 29,
-    "lehmer:0.5": 32,
-    "slope_kernel(0.0005)": 17,
-    "slope_kernel(0.7)": 33,
-    "curvature_kernel(0.0005)": 30,
-    "curvature_kernel(0.7)": 21,
-    "log_gap(0.0005)": 32,
-    "log_gap(0.7)": 28,
-    "log_gap_slope(0.0005)": 21,
-    "log_gap_slope(0.7)": 42,
-    "half_log_ratio": 14,
+    "harmonic": 22,
+    "geometric": 14,
+    "arithmetic": 22,
+    "quadratic": 22,
+    "log": 18,
+    "identric": 14,
+    "first-seiffert": 20,
+    "second-seiffert": 18,
+    "neuman-sandor": 18,
+    "yang": 20,
+    "sandor": 25,
+    "toader": 21,
+    "sandor-yang": 24,
+    "power:1.7": 23,
+    "lehmer:0.5": 26,
+    "slope_kernel(0.0005)": 14,
+    "slope_kernel(0.7)": 30,
+    "curvature_kernel(0.0005)": 20,
+    "curvature_kernel(0.7)": 18,
+    "log_gap(0.0005)": 28,
+    "log_gap(0.7)": 24,
+    "log_gap_slope(0.0005)": 18,
+    "log_gap_slope(0.7)": 39,
+    "half_log_ratio": 8,
 }
 
 

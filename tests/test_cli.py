@@ -417,6 +417,15 @@ USAGE_ERRORS = [
         (*_TRACE, "0", "--t-min", "0.1", "--t-max", "1", "--n", "5"),
         "log_gap requires a nonzero exponent",
     ),
+    ((*_TRACE, "nan", "--t-min", "0.1", "--t-max", "1", "--n", "5"), "p must not be NaN"),
+    (
+        ("trace", "--function", "f1", "--p", "inf", "--t-min", "0.1", "--t-max", "1", "--n", "5"),
+        "p must be finite",
+    ),
+    (
+        ("trace", "--function", "f2", "--p", "nan", "--t-min", "0.1", "--t-max", "1", "--n", "5"),
+        "p must be finite",
+    ),
     (("verify", "--which", "chain", "--a", "1"), "need two distinct positive values --a and --b"),
     (
         ("verify", "--which", "chain", "--a", "1", "--b", "1"),
@@ -464,7 +473,27 @@ def test_entry_raises_systemexit(capsys, monkeypatch):
     assert capsys.readouterr().out == "5\n"
 
 
-def test_seeded_sweep_is_reproducible():
-    rng1 = np.random.default_rng(20260814)
-    rng2 = np.random.default_rng(20260814)
-    assert np.array_equal(rng1.uniform(0, 1, 10), rng2.uniform(0, 1, 10))
+def test_seeded_sweep_is_reproducible(capsys, monkeypatch):
+    n = 2 * numerics._BLOCK + 5
+
+    def sweep(seed):
+        """The blocks of pairs that `verify --which chain` hands verify_chain."""
+        blocks = []
+
+        def record(a, b):
+            blocks.append((a, b.copy()))
+            return True
+
+        monkeypatch.setattr(solver, "verify_chain", record)
+        argv = ("verify", "--which", "chain", "--pairs", str(n), "--seed", str(seed))
+        assert run(capsys, *argv) == (0, f"pairs,{n}\nresult,pass\n", "")
+        assert [a for a, _ in blocks] == [1.0, 1.0, 1.0]
+        assert [b.size for _, b in blocks] == [numerics._BLOCK, numerics._BLOCK, 5]
+        return np.concatenate([b for _, b in blocks])
+
+    pairs = sweep(7)
+    np.testing.assert_array_equal(sweep(7).view(np.uint64), pairs.view(np.uint64))
+    assert np.count_nonzero(sweep(8) != pairs) > 0.99 * n
+    # the blocks are one draw of t, cut: the pair (1, e^{2t}) for each t
+    t = 10.0 ** np.random.default_rng(7).uniform(-10.3, math.log10(13.8), n)
+    np.testing.assert_array_equal(pairs.view(np.uint64), np.exp(2.0 * t).view(np.uint64))

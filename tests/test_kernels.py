@@ -328,6 +328,23 @@ def test_log_gap_zero_limit_and_domain():
         log_gap(-1.0, 2.0)
 
 
+def test_a_nan_or_infinite_exponent_raises():
+    t = np.array([5e-4, 0.7, 400.0])
+    for fn in (slope_kernel, curvature_kernel, log_gap_slope):
+        for p in (math.nan, math.inf, -math.inf, np.float64("nan"), "inf"):
+            for x in (0.7, t):
+                with pytest.raises(ValueError, match="^p must be finite$"):
+                    fn(x, p)
+    for x in (0.7, t):
+        with pytest.raises(ValueError, match="^p must not be NaN$"):
+            log_gap(x, math.nan)
+    # at p = +/-inf M_p is max/min, so the gap is log m(t) -/+ t
+    sandor_yang = log_mean_normalized(MeanKind("sandor-yang"), t)
+    np.testing.assert_allclose(log_gap(t, math.inf), sandor_yang - t, rtol=1e-15, atol=1e-15)
+    np.testing.assert_allclose(log_gap(t, -math.inf), sandor_yang + t, rtol=1e-15)
+    assert log_gap(0.7, math.inf) == log_gap(t, math.inf)[1]
+
+
 def test_log_gap_monotone_structure():
     ts = np.logspace(-4, 1.5, 60)
     slopes_low = np.array([log_gap_slope(float(t), 1.0) for t in ts])
