@@ -34,8 +34,21 @@ which leaves slope_kernel(t, p) / sinh^2(t) as a sum of two O(t) terms,
 
 with g(y) = (arctan y - y)/y^2 from the arctan series.  No t^3 factor is
 formed, so this quotient, which log_gap_slope returns, keeps its relative
-accuracy down to the smallest normal t.  Below t = 1e-3 the curvature kernel
-sums its Maclaurin series, whose coefficients are exact in p.
+accuracy down to the smallest normal t.  From t = 0.1 on, log_gap_slope
+takes the same quotient in logs, which cannot overflow.
+
+The curvature kernel's cosh terms are O(|p|) while it is O(|p| t^2) near
+t = 0.  Two identities,
+
+    cosh((p-2)t) - cosh(pt) = -2 sinh((p-1)t) sinh(t),
+    (1-p) cosh(2t) + 2p cosh(t) - p - 1 = 2(1-p) sinh^2(t) + 4p sinh^2(t/2),
+
+remove every O(p) cancellation, and its closed row sums their right-hand
+sides.  Below t = 1e-3 it sums its Maclaurin series instead, whose
+coefficients are exact in p, while max(|p-2|, |p|, 2) < 1e3: its 8 terms
+converge while that maximum times t stays below 1.  Where that maximum
+times t passes 700, the closed row is summed relative to its largest
+exponential, so that it turns +/-inf only past DBL_MAX.
 """
 
 from __future__ import annotations
@@ -57,7 +70,10 @@ from .numerics import (
     _square,
 )
 
+# the 8-term series holds while max(|p-2|, |p|, 2) t < 1: it runs below
+# t = 1e-3 for that maximum below 1e3
 _CURV_SERIES_RADIUS = 1e-3
+_CURV_SERIES_RATE = 1e3
 # (n, (2n)!) of the series' 8 terms, built once, not per call
 _CURV_SERIES_TERMS = [(n, math.factorial(2 * n)) for n in range(1, 9)]
 
@@ -116,46 +132,54 @@ def slope_kernel(t, p: float):
     return _piecewise(t, _SLOPE_ROWS, _exponent(p))
 
 
-def _curv_terms(p: float):
-    """The (w, k) of the curvature kernel's terms w cosh(k t)."""
-    return ((1.0, p - 2.0), (-1.0, p), (1.0 - p, 2.0), (2.0 * p, 1.0))
-
-
-def _curv_series(t, p: float):
+def _curv_series(t, p: float, rate: float):
     x = _square(t)
     coeffs = [curvature_coefficient(n, p) / factorial for n, factorial in _CURV_SERIES_TERMS]
     return _horner(coeffs, x) * x
 
 
-def _curv_far(t, p: float):
-    # rate t > 350 here, so the kernel is sum w e^(|k| t)/2 to within
-    # e^-350; summed relative to e^(rate t), it turns +/-inf past DBL_MAX
-    live = [(w, abs(k)) for w, k in _curv_terms(p) if w != 0.0]
-    rate = max(k for _, k in live)
-    scaled = sum(0.5 * w * np.exp((k - rate) * t) for w, k in live)
+def _curv_closed(t, p: float, rate: float):
+    # 2(1-p) sinh^2 t - 2 sinh((p-1)t) sinh t + 4p sinh^2(t/2), the factor 2 last
+    s, h = np.sinh(t), np.sinh(0.5 * t)
+    return 2.0 * (((1.0 - p) * s - np.sinh((p - 1.0) * t)) * s + 2.0 * (p * h) * h)
+
+
+def _curv_far(t, p: float, rate: float):
+    # the closed row over e^(rate t), with 2 sinh x = -e^x expm1(-2x): no term
+    # is dropped, none exceeds max(1, |p|) and no exp overflows; the product
+    # turns +/-inf past DBL_MAX
+    m = abs(p - 1.0)
     with np.errstate(over="ignore"):
+        e1, e2 = np.expm1(-t), np.expm1(-2.0 * t)
+        terms = (
+            (math.copysign(0.5, 1.0 - p) * np.expm1(-2.0 * m * t) * e2, m + 1.0),
+            (0.5 * (1.0 - p) * e2 * e2, 2.0),
+            (p * e1 * e1, 1.0),
+        )
+        scaled = sum(w * np.exp(min(k - rate, 0.0) * t) for w, k in terms)
         half = np.exp(0.5 * rate * t)
         return scaled * half * half
 
 
-def _curv_far_from(p: float) -> float:
-    """700 / max(|p - 2|, |p|, 2), the largest |k| of the terms: where cosh(k t) nears overflow."""
-    return _COSH_MAX_ARG / (p if p > 2.0 else 2.0 - p if p < 0.0 else 2.0)
-
-
-# disjoint: for |p| > 7e5 the far row starts below the series radius and takes
-# over, as the series is far outside its range at p t = 700
+# disjoint: the series needs rate t < 1, the far row rate t > 700, where
+# e^(rate t) nears overflow
 _CURV_ROWS = (
-    (lambda t, p: (t < _CURV_SERIES_RADIUS) & (t <= _curv_far_from(p)), _curv_series),
-    (lambda t, p: t > _curv_far_from(p), _curv_far),
-    (None, lambda t, p: sum(w * np.cosh(k * t) for w, k in _curv_terms(p)) - p - 1.0),
+    (lambda t, p, rate: (t < _CURV_SERIES_RADIUS) & (rate < _CURV_SERIES_RATE), _curv_series),
+    (lambda t, p, rate: t > _COSH_MAX_ARG / rate, _curv_far),
+    (None, _curv_closed),
 )
 
 
 @_elementwise("nonnegative")
 def curvature_kernel(t, p: float):
     """cosh((p-2)t) - cosh(pt) + (1-p)cosh(2t) + 2p cosh(t) - p - 1, for t >= 0 and finite p."""
-    return _piecewise(t, _CURV_ROWS, _exponent(p))
+    p = _exponent(p)
+    m = p - 1.0 if p > 1.0 else 1.0 - p
+    # the largest k of the closed row's terms e^(k t) with a nonzero weight:
+    # m + 1 = |p - 1| + 1 (sinh(m t) sinh t), 2 unless p = 1, and 1; so
+    # max(|p-2|, |p|, 2), but 1 at p = 1
+    rate = 1.0 + (m if m > 1.0 else 1.0) if m else 1.0
+    return _piecewise(t, _CURV_ROWS, p, rate)
 
 
 @_elementwise("nonnegative")
@@ -174,8 +198,9 @@ def log_gap(t, p: float):
     return _lognorm_sandor_yang(t) - _lognorm_power(p, t)
 
 
-def _slope_over_sinh2_far(t, p: float):
-    """cosh((p-1)t) / (cosh(pt) sinh t) - arctan(tanh t) / sinh^2 t in logs, for t > 350."""
+def _slope_over_sinh2_logs(t, p: float):
+    """cosh((p-1)t) / (cosh(pt) sinh t) - arctan(tanh t) / sinh^2 t in logs, for t >= 0.1."""
+    # there the exp arguments stay below log 22 and log 100 for any finite p t
     log_sinh = _logsinh(t)
     core = np.exp(_logcosh((p - 1.0) * t) - _logcosh(p * t) - log_sinh)
     return core - np.arctan(np.tanh(t)) * np.exp(-2.0 * log_sinh)
@@ -183,14 +208,11 @@ def _slope_over_sinh2_far(t, p: float):
 
 _SLOPE_OVER_SINH2_ROWS = (
     (lambda t, p: t < _ATAN_SERIES_Y, _slope_over_sinh2),
-    (lambda t, p: t > 350.0, _slope_over_sinh2_far),
-    (None, lambda t, p: _slope_closed(t, p) / _square(np.sinh(t))),
+    (None, _slope_over_sinh2_logs),
 )
 
 
 @_elementwise("positive")
 def log_gap_slope(t, p: float):
     """d/dt of log_gap = slope_kernel(t, p) / sinh^2(t), for t > 0 and finite p."""
-    p = _exponent(p)
-    with np.errstate(over="ignore"):
-        return _piecewise(t, _SLOPE_OVER_SINH2_ROWS, p)
+    return _piecewise(t, _SLOPE_OVER_SINH2_ROWS, _exponent(p))

@@ -195,9 +195,15 @@ def _bisect(goes_right, lo, hi, steps):
 # cosh(700) = 5e303: up to here cosh, and the sums built on it, stay finite
 _COSH_MAX_ARG = 700.0
 
+
+def _log_half_exp(x):
+    """x - log 2: log cosh x and log sinh x once e^(-2x) is below a quarter ulp of it."""
+    return x - LOG2
+
+
 # past 700, e^(-2a) < e^(-1400) underflows to 0, so the far row is exact
 _LOGCOSH_ROWS = (
-    (lambda a: a > _COSH_MAX_ARG, lambda a: a - LOG2),
+    (lambda a: a > _COSH_MAX_ARG, _log_half_exp),
     (None, lambda a: np.log1p(2.0 * _square(np.sinh(0.5 * a)))),
 )
 
@@ -212,14 +218,9 @@ def _logcosh(x):
     return _piecewise(abs(x), _LOGCOSH_ROWS)
 
 
-def _logsinh_far(x):
-    # exp(-800) is 0, so clipping x at 400 is exact, and -2x cannot overflow
-    clipped = np.minimum(x, 400.0) if type(x) is np.ndarray else min(x, 400.0)
-    return x - LOG2 + np.log1p(-np.exp(-2.0 * clipped))
-
-
+# past 20, log1p(-e^(-2x)) > -4.3e-18 is under a quarter ulp of x - log 2: the far row is exact
 _LOGSINH_ROWS = (
-    (lambda x: x > 20.0, _logsinh_far),
+    (lambda x: x > 20.0, _log_half_exp),
     (None, lambda x: np.log(np.sinh(x))),
 )
 

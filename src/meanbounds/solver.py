@@ -182,24 +182,21 @@ def find_witness(kind: MeanKind, family: str, param: float, side: str) -> Option
 
 # --- closed-form endpoint catalog ------------------------------------------
 #
-# Expressions are evaluated when asked for, never stored as rounded decimals.
+# (lower, upper) endpoints, evaluated at import from their expressions, never typed as decimals.
 
 _LOG_PI = math.log(math.pi)
 
 _CLOSED_FORMS: dict = {
-    ("log", "power"): (lambda: 0.0, lambda: 1.0 / 3.0),
-    ("identric", "power"): (lambda: 2.0 / 3.0, lambda: LOG2),
-    ("first-seiffert", "power"): (lambda: LOG2 / _LOG_PI, lambda: 2.0 / 3.0),
-    ("second-seiffert", "power"): (lambda: LOG2 / (_LOG_PI - LOG2), lambda: 5.0 / 3.0),
-    ("toader", "power"): (lambda: 1.5, lambda: LOG2 / (_LOG_PI - LOG2)),
-    (
-        "neuman-sandor",
-        "power",
-    ): (lambda: LOG2 / math.log(2.0 * math.log(1.0 + math.sqrt(2.0))), lambda: 4.0 / 3.0),
-    ("yang", "power"): (lambda: 2.0 * LOG2 / (2.0 * _LOG_PI - LOG2), lambda: 4.0 / 3.0),
-    ("sandor", "power"): (lambda: 1.0 / 3.0, lambda: LOG2 / (1.0 + LOG2)),
-    ("sandor-yang", "power"): (sharp_lower_exponent, lambda: UPPER_EXPONENT),
-    ("second-seiffert", "lehmer"): (lambda: 0.0, lambda: 1.0 / 3.0),
+    ("log", "power"): (0.0, 1.0 / 3.0),
+    ("identric", "power"): (2.0 / 3.0, LOG2),
+    ("first-seiffert", "power"): (LOG2 / _LOG_PI, 2.0 / 3.0),
+    ("second-seiffert", "power"): (LOG2 / (_LOG_PI - LOG2), 5.0 / 3.0),
+    ("toader", "power"): (1.5, LOG2 / (_LOG_PI - LOG2)),
+    ("neuman-sandor", "power"): (LOG2 / math.log(2.0 * math.log(1.0 + math.sqrt(2.0))), 4.0 / 3.0),
+    ("yang", "power"): (2.0 * LOG2 / (2.0 * _LOG_PI - LOG2), 4.0 / 3.0),
+    ("sandor", "power"): (1.0 / 3.0, LOG2 / (1.0 + LOG2)),
+    ("sandor-yang", "power"): (sharp_lower_exponent(), UPPER_EXPONENT),
+    ("second-seiffert", "lehmer"): (0.0, 1.0 / 3.0),
 }
 
 # the surveyed means: every power row of the catalog but the paper's own mean
@@ -208,9 +205,7 @@ LITERATURE_MEANS = tuple(m for m, fam in _CLOSED_FORMS if fam == "power" and m !
 
 def _closed_form(kind: MeanKind, family: str, side: str) -> Optional[float]:
     entry = _CLOSED_FORMS.get((kind.tag, family))
-    if entry is None:
-        return None
-    return entry[0]() if side == "lower" else entry[1]()
+    return None if entry is None else entry[side == "upper"]
 
 
 def literature_endpoints() -> list[EndpointReport]:
@@ -309,14 +304,22 @@ def chain_margins(t) -> np.ndarray:
     return out.reshape((_CHAIN_LINKS,) + arr.shape)
 
 
+def _scaled_exp(logval: float, scale: float) -> float:
+    """scale * e^logval; past log(DBL_MAX) h * scale * h with h = e^(logval/2), as eval_mean."""
+    if logval <= 709.78:
+        return scale * math.exp(logval)
+    half = math.exp(0.5 * logval)
+    return half * scale * half
+
+
 def chain_table(a: float, b: float) -> list[tuple[str, str, float]]:
     """(label, expression, value) rows of the chain, in ascending order; the last is max(a, b)."""
     t = half_log_ratio(a, b)
     if t == 0.0:
         raise ValueError("chain table requires distinct arguments")
     scale = math.sqrt(a) * math.sqrt(b)
-    *members, (label, expr, _) = _chain_rows(np.atleast_1d(t))
-    rows = [(lbl, ex, scale * math.exp(float(logval[0]))) for lbl, ex, logval in members]
+    *members, (label, expr, _) = _chain_rows(t)
+    rows = [(lbl, ex, _scaled_exp(logval, scale)) for lbl, ex, logval in members]
     # the top member is max(a, b) itself, which sqrt(ab) e^t misses by up to 1e-15
     return rows + [(label, expr, float(max(a, b)))]
 

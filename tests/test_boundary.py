@@ -103,8 +103,8 @@ AT_CUTS = {
     "half_log_ratio": (lambda t: half_log_ratio(0.3 * np.exp(-t), 0.3 * np.exp(t)), True),
     "slope_kernel": (lambda t: slope_kernel(t, 1.2), True),
     "curvature_kernel": (lambda t: curvature_kernel(t, 1.2), True),
-    # past |p| = 7e5 the far row starts (at 700/|p|) below the series radius:
-    # 1e-3 less an ulp is in both ranges, and takes the far row
+    # from |p| = 998 the series does not run: the closed row reaches down to
+    # t = 0, and the far row starts at 700/|p|, below the series radius
     "curvature_kernel_p1e6": (lambda t: curvature_kernel(t, 1e6), True),
     "log_gap": (lambda t: log_gap(t, 1.2), True),
     "log_gap_slope": (lambda t: log_gap_slope(t, 1.2), False),
@@ -502,12 +502,12 @@ SCALAR_CALL_EVENTS = {
     "lehmer:0.5": 26,
     "slope_kernel(0.0005)": 14,
     "slope_kernel(0.7)": 30,
-    "curvature_kernel(0.0005)": 20,
-    "curvature_kernel(0.7)": 18,
+    "curvature_kernel(0.0005)": 19,
+    "curvature_kernel(0.7)": 9,
     "log_gap(0.0005)": 28,
     "log_gap(0.7)": 24,
-    "log_gap_slope(0.0005)": 18,
-    "log_gap_slope(0.7)": 39,
+    "log_gap_slope(0.0005)": 12,
+    "log_gap_slope(0.7)": 24,
     "half_log_ratio": 8,
 }
 

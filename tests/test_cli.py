@@ -176,6 +176,16 @@ def test_chain_table_top_row_is_max_itself(capsys):
     assert out.splitlines()[-1] == "max,max(a,b),851411821412.348"
 
 
+def test_chain_table_past_the_overflow_of_exp(capsys):
+    # t > log(DBL_MAX) here: e^(log m) overflows where the member itself does not
+    for a, b in (("1e-310", "1e308"), ("5e-324", "1.7e308")):
+        code, out, _ = run(capsys, "table", "--which", "chain", "--a", a, "--b", b)
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 12
+        assert all(float(line.rsplit(",", 1)[1]) <= float(b) for line in lines[1:])
+
+
 # --- trace ------------------------------------------------------------------
 
 

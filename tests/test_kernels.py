@@ -23,6 +23,7 @@ from meanbounds import (
 from oracles import curvature_oracle, gap_oracle, log_gap_residual, slope_oracle
 
 P_GRID = [-2.0, -0.5, 0.5, 1.0, 1.2, 4.0 / 3.0, 1.5, 2.0, 3.0]
+DBL_MAX = np.finfo(float).max
 
 
 # --- slope kernel -----------------------------------------------------------
@@ -235,6 +236,65 @@ def test_curvature_domain():
         curvature_kernel(np.array([0.5, -1e-300]), 1.2)
 
 
+def _curvature_to_its_cancellation(t, p):
+    """curvature_oracle with digits for -p - 1 and for the terms' t^2 cancellation."""
+    t, p = float(t), float(p)
+    with mp.workdps(50 + int(math.log10(abs(p) + 1.0)) + int(2.0 * max(0.0, -math.log10(t)))):
+        return curvature_oracle(t, p)
+
+
+def test_curvature_at_large_exponents_matches_the_oracle():
+    # past the series' range (max(|p-2|, |p|, 2) t < 1) its 8 terms do not
+    # converge, and from |p| = 3e19 they overflow; the closed row
+    # 2(1-p) sinh^2 t - 2 sinh((p-1)t) sinh t + 4p sinh^2(t/2) has terms of
+    # O(|p| t^2) that do not cancel, and is about ulp(|p| t) off: 3.5e-14 at
+    # worst here, all short of the far row at |p| t = 700
+    ts = np.concatenate([np.logspace(-8, -3, 11), [1e-150, 1e-25, 5e-4, 0.03, 0.2]])
+    for p in (3e3, 1e4, -1e4, 1e5, 1e6, -1e6, 1e9, 1e17, -1e17, 1e20):
+        for t in ts[abs(p) * ts < 700.0]:
+            want = _curvature_to_its_cancellation(t, p)
+            assert abs(curvature_kernel(float(t), p) - want) <= 1e-13 * abs(want), (t, p)
+    np.testing.assert_array_equal(
+        curvature_kernel(np.array([5e-4, 0.2]), 1e6), [curvature_kernel(5e-4, 1e6), -math.inf]
+    )
+
+
+def test_curvature_just_above_the_series_radius():
+    # the closed row's terms are O(t^2); at p = 4/3 f2 = O(t^4), so just above
+    # t = 1e-3 they cancel by 1/t^2, and 1.3e-9 is left
+    for p, bound in ((1.2, 1e-13), (0.5, 1e-13), (4.0 / 3.0, 1e-8)):
+        for t in (np.nextafter(1e-3, 1.0), 1.5e-3, 3e-3):
+            want = _curvature_to_its_cancellation(t, p)
+            assert abs(curvature_kernel(t, p) - want) <= bound * abs(want), (t, p)
+
+
+def test_curvature_far_row_at_huge_exponents():
+    # past 700 / max(|p-2|, |p|, 2) the far row keeps every term of the closed
+    # row: near its start at |p| = 1e100 the value is -t e^(p t)-sized, far
+    # below the p-sized terms of the cosh form; 5.5e-14 at worst here
+    points = [(701.0 / abs(p), p) for p in (1e6, -1e6)] + [
+        (scaled / abs(p), p)
+        for p in (1e100, 1e200, -1e200, 1e308, -1e308)
+        for scaled in (701.0, 750.0, 800.0)
+    ]
+    for t, p in points:
+        want = _curvature_to_its_cancellation(t, p)
+        assert abs(curvature_kernel(t, p) - want) <= 2e-13 * abs(want), (t, p)
+
+
+def test_curvature_past_dbl_max_is_a_signed_infinity():
+    # scalar and array, with no warning under the suite's filterwarnings
+    for p in (1.2, 0.5, 1.0, -3.0, 1e6, -1e6, 1e17, -1e17, 1e308, -1e308):
+        rate = max(abs(p - 2.0), abs(p), 2.0)
+        ts = [1e3 / rate, 1e4 / rate, 1e100 / rate, 5e-4, 0.7, 400.0, 1e300, DBL_MAX]
+        wants = [_curvature_to_its_cancellation(t, p) for t in ts]
+        ts = [t for t, want in zip(ts, wants) if abs(want) > DBL_MAX]
+        infs = [math.copysign(math.inf, want) for want in wants if abs(want) > DBL_MAX]
+        assert len(ts) >= 3, p
+        assert [curvature_kernel(t, p) for t in ts] == infs, p
+        np.testing.assert_array_equal(curvature_kernel(np.array(ts), p), infs)
+
+
 # --- series coefficients ----------------------------------------------------
 
 
@@ -382,6 +442,21 @@ def test_log_gap_slope_past_sinh_overflow():
         with mp.workdps(60 + int(t)):
             want = slope_oracle(t, p) / mp.sinh(t) ** 2
         assert abs(got - want) <= 1e-12 * abs(want), (t, p, got)
+
+
+def test_log_gap_slope_in_logs_from_a_tenth():
+    # one row takes the quotient in logs from t = 0.1 on; its error, relative
+    # to |F'| + arctan(tanh t)/sinh^2 t (the size of the two terms it
+    # subtracts), grows with the logs of size |p| t: 8.7e-14 at worst here
+    worst = 0.0
+    for p in (-3.0, -0.5, 0.5, 1.0, 1.2, 4.0 / 3.0, 2.0, 5.0, 10.0):
+        for t in np.logspace(-1, math.log10(350.0), 40):
+            with mp.workdps(60 + int(t)):
+                sinh2 = mp.sinh(t) ** 2
+                want = slope_oracle(t, p) / sinh2
+                scale = abs(want) + mp.atan(mp.tanh(t)) / sinh2
+                worst = max(worst, float(abs(log_gap_slope(float(t), p) - want) / scale))
+    assert worst <= 2e-13
 
 
 def test_log_gap_slope_shares_sign_with_slope_kernel():

@@ -69,10 +69,18 @@ def test_logcosh_matches_high_precision():
 
 
 def test_far_rows_are_exact_and_never_overflow():
-    # past 700 (_logcosh) and 400 (_logsinh) e^(-2x) is 0 in binary64, so both
-    # far rows are x - log 2; under the suite's filterwarnings an overflow in
-    # forming -2x would raise here
-    x = 10.0 ** np.random.default_rng(7).uniform(math.log10(700.0), 300.0, 10**4)
+    # past 20 (_logsinh), log1p(-e^(-2x)) is under a quarter ulp of x - log 2,
+    # and past 700 (_logcosh) e^(-2x) is 0 in binary64, so both far rows are
+    # x - log 2; under the suite's filterwarnings an overflow would raise here
+    rng = np.random.default_rng(7)
+    near = np.concatenate([[np.nextafter(20.0, math.inf)], rng.uniform(20.0, 700.0, 10**4)])
+    assert np.all(np.exp(-2.0 * near) < np.spacing(near - LOG2) / 4)
+    np.testing.assert_array_equal(_logsinh(near), near - LOG2)
+    for x in near[:50].tolist():
+        assert _logsinh(x) == x - LOG2
+        with mp.workdps(40):
+            assert _logsinh(x) == float(mp.log(mp.sinh(mp.mpf(x)))), x
+    x = 10.0 ** rng.uniform(math.log10(700.0), 300.0, 10**4)
     with np.errstate(over="ignore", under="ignore"):
         assert np.all(np.exp(-2.0 * x) == 0.0)
     for big in (x, np.float64(1e308), np.finfo(float).max):

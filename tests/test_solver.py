@@ -221,10 +221,10 @@ def test_literature_catalog_is_recovered():
 
 def test_catalog_endpoints_are_exact():
     for (tag, family), forms in _CLOSED_FORMS.items():
-        for side, form in zip(("lower", "upper"), forms):
+        for side, closed in zip(("lower", "upper"), forms):
             report = best_exponent(MeanKind(tag), family, side)
             assert report.decided_by == "limits", (tag, family, side)
-            closed = form()
+            assert report.closed_form == closed, (tag, family, side)
             if closed:
                 assert_sharp(report.numeric, closed)
             else:  # 60 halvings of [-10, 10] towards a switch at p = 0
@@ -269,9 +269,8 @@ def test_endpoint_report_fields():
 def test_every_catalog_endpoint_is_sharp():
     # the bound predicate must hold just inside the sharp parameter and fail
     # a bit beyond it, in both directions
-    for (tag, family), (lower_fn, upper_fn) in _CLOSED_FORMS.items():
+    for (tag, family), (lower, upper) in _CLOSED_FORMS.items():
         kind = MeanKind(tag)
-        lower, upper = lower_fn(), upper_fn()
         pred_lower = _bound_predicate(kind, family, "lower")
         assert pred_lower(lower - 1e-6), (tag, family)
         assert not pred_lower(lower + 1e-3), (tag, family)
@@ -445,6 +444,23 @@ def test_chain_table_rows_ascend():
     # the top member is max(a, b) itself
     for a, b in 10.0 ** np.random.default_rng(11).uniform(-12.0, 12.0, (200, 2)):
         assert chain_table(a, b)[-1][2] == chain_table(b, a)[-1][2] == max(a, b)
+
+
+def test_chain_table_past_the_overflow_of_exp():
+    # t > log(DBL_MAX): e^(log m) of a member overflows, the member itself,
+    # at most max(a, b), does not; each matches its mean at raised precision
+    for a, b in ((1e-310, 1e308), (5e-324, 1.7e308)):
+        rows = chain_table(a, b)
+        assert len(rows) == 11
+        values = {label: value for label, _, value in rows}
+        assert all(0.0 < value <= max(a, b) for value in values.values())
+        want = mean_oracle("sandor-yang", None, a, b)
+        assert values["sandor-yang"] == pytest.approx(float(want), rel=1e-12)
+        for p in (1.5, 2.0):
+            want = mean_oracle("power", p, a, b)
+            assert values[f"power:{p:g}"] == pytest.approx(float(want), rel=1e-12)
+            scaled = sharp_factor(p) * want
+            assert values[f"lambda_{p:g}*power:{p:g}"] == pytest.approx(float(scaled), rel=1e-12)
 
 
 def test_squeeze_margins_positive_even_for_extreme_ratios():
