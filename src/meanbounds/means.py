@@ -22,16 +22,16 @@ turns each mean into a hyperbolic-function expression:
     sandor-yang    cosh^(1/2)(2t) exp(arctan(tanh t)/tanh(t) - 1)
     toader         (2/pi) * int_0^{pi/2} sqrt(e^{2t} sin^2 + e^{-2t} cos^2)
 
-Each mean is one table row: its evaluator of log m(t) and the two fingerprints
-that pin sharp endpoints, the t^2 coefficient of log m(t) at t -> 0 and the
-offset lim (log m(t) - t) at t -> infinity.  The harmonic, geometric,
-arithmetic and quadratic means are the power rows at p = -1, 0, 1 and 2.
+Each mean is one table row, which its MeanKind carries: its log m(t)
+evaluator and the two fingerprints that pin sharp endpoints, the t^2
+coefficient of log m(t) at t -> 0 and the offset lim (log m(t) - t) at
+t -> infinity.  Harmonic to quadratic are the power rows at p = -1, 0, 1, 2.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -55,10 +55,6 @@ from .numerics import (
 # above, where t + log(2E/pi) cancels by a factor of at most 4.6.
 _TOADER_SERIES_T = 0.3
 
-# Below this |p| the power mean switches to its second-order expansion in p;
-# both branches agree to better than 1e-12 at the boundary.
-_POWER_SMALL_P = 1e-8
-
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -68,6 +64,7 @@ class MeanKind:
 
     tag: str
     param: float | None = None
+    _row: tuple = field(init=False, repr=False, compare=False)  # made once, by __post_init__
 
     def __post_init__(self):
         if self.tag in PARAMETRIC_TAGS:
@@ -79,11 +76,18 @@ class MeanKind:
             if self.tag == "lehmer" and math.isinf(p):
                 raise ValueError("lehmer mean does not accept an infinite parameter")
             object.__setattr__(self, "param", p)
+            evaluator, c2, omega = _FAMILIES[self.tag]
+            row = (partial(evaluator, p), c2(p), omega(p))
         elif self.tag in PLAIN_TAGS:
             if self.param is not None:
                 raise ValueError(f"mean '{self.tag}' takes no parameter")
+            row = _PLAIN[self.tag]
         else:
             raise ValueError(f"unknown mean '{self.tag}'")
+        object.__setattr__(self, "_row", row)
+
+    def __reduce__(self):
+        return MeanKind, (self.tag, self.param)
 
     @classmethod
     def power(cls, p) -> "MeanKind":
@@ -145,8 +149,18 @@ def half_log_ratio(a, b):
 # --- normalized log-mean evaluators ----------------------------------------
 #
 # Each evaluator takes t > 0, an array or a Python float, and returns log m(t)
-# elementwise.  t == 0, where several forms are 0/0, is a branch of its own in
-# log_mean_normalized and eval_mean.
+# elementwise.  t == 0, where several forms are 0/0, is a row of its own in
+# eval_mean and in log_mean_normalized, whose table takes the evaluator f:
+_LOGNORM_ROWS = ((lambda t, f: t == 0.0, lambda t, f: np.zeros_like(t)), (None, lambda t, f: f(t)))
+
+
+# below |p| = 1e-8: p t^2/2 while |p t| < 1e-8, within (p t)^2/6 < 2e-17, as (p t/2)^2 may
+# underflow (2^200 p t stays normal); beyond, t times a ratio of at most 1, so |log m| <= t
+_POWER_SMALL_P = 1e-8
+_TINY_P_ROWS = (
+    (lambda t, p: t < _POWER_SMALL_P / abs(p), lambda t, p: p * 2.0**200 * t * (t / 2.0**201)),
+    (None, lambda t, p: t * (_logcosh(p * t) / (p * t))),
+)
 
 
 def _lognorm_power(p: float, t):
@@ -155,7 +169,7 @@ def _lognorm_power(p: float, t):
     if math.isinf(p):
         return +t if p > 0 else -t  # +t: a copy of an array
     if abs(p) < _POWER_SMALL_P:
-        return 0.5 * p * t * t
+        return _piecewise(t, _TINY_P_ROWS, p)
     return _logcosh(p * t) / p
 
 
@@ -199,26 +213,13 @@ _FAMILIES = {
         lambda p: 0.0 if p > 0 else (-LOG2 if p == 0 else -math.inf),
     ),
 }
-
-
-def _row(tag: str, param: float | None, column: int):
-    """Entry `column` of a mean's (evaluator of log m(t) for t > 0, c2, omega) row, made alone.
-
-    A plain mean's is read from _PLAIN; a family member's is made from its parameter.
-    """
-    if param is None:
-        return _PLAIN[tag][column]
-    entry = _FAMILIES[tag][column]
-    return entry(param) if column else partial(entry, param)
-
+PARAMETRIC_TAGS = tuple(_FAMILIES)
 
 _PLAIN = {
-    **{
-        tag: tuple(_row("power", p, column) for column in range(3))
-        for tag, p in (
-            ("harmonic", -1.0), ("geometric", 0.0), ("arithmetic", 1.0), ("quadratic", 2.0)
-        )
-    },
+    "harmonic": MeanKind.power(-1.0)._row,
+    "geometric": MeanKind.power(0.0)._row,
+    "arithmetic": MeanKind.power(1.0)._row,
+    "quadratic": MeanKind.power(2.0)._row,
     "log": (lambda t: _logsinh(t) - np.log(t), 1.0 / 6.0, -math.inf),
     "identric": (lambda t: t / np.tanh(t) - 1.0, 1.0 / 3.0, -1.0),
     "first-seiffert": (
@@ -251,24 +252,22 @@ _PLAIN = {
 }
 
 PLAIN_TAGS = tuple(_PLAIN)
-PARAMETRIC_TAGS = tuple(_FAMILIES)
 
 
 def quadratic_coefficient(kind: MeanKind) -> float:
     """c2 with log m(t) = c2 * t^2 + O(t^4) as t -> 0."""
-    return _row(kind.tag, kind.param, 1)
+    return kind._row[1]
 
 
 def growth_offset(kind: MeanKind) -> float:
     """lim_{t->inf} (log m(t) - t); -inf when the mean grows slower than e^t."""
-    return _row(kind.tag, kind.param, 2)
+    return kind._row[2]
 
 
 @_elementwise("nonnegative", lead=1)
 def log_mean_normalized(kind: MeanKind, t):
     """log of the mean evaluated on the pair (e^-t, e^t), elementwise."""
-    evaluator = _row(kind.tag, kind.param, 0)
-    return _piecewise(t, ((lambda t: t == 0.0, np.zeros_like), (None, evaluator)))
+    return _piecewise(t, _LOGNORM_ROWS, kind._row[0])
 
 
 def _halved(t, a, b, lognorm):
@@ -299,4 +298,4 @@ def eval_mean(kind: MeanKind, a, b):
     if kind.tag == "power" and math.isinf(kind.param):
         return np.maximum(a, b) if kind.param > 0 else np.minimum(a, b)
 
-    return _piecewise(_half_log_ratio(a, b), _EVAL_ROWS, a, b, _row(kind.tag, kind.param, 0))
+    return _piecewise(_half_log_ratio(a, b), _EVAL_ROWS, a, b, kind._row[0])

@@ -11,28 +11,27 @@ numpy float64 arrays.  The module also holds the helpers the package shares:
 the boundary of the package's public functions with its block cutter, the
 branch table of every piecewise evaluator, Horner's rule and bisection.
 
-At the boundary a Python float in the domain passes as it is, checked by
-one chained comparison.  Any other number (any numbers.Number: int,
-Fraction, Decimal, a numpy scalar) or a string is a scalar by its type,
-converted once with float() and checked once, by two comparisons, to be
-finite and in the domain; anything else goes through np.asarray.  Past the
-boundary a scalar is a Python float: its arithmetic and comparisons give
-numpy's bits at a fraction of the cost of numpy scalars, and a ufunc gives
-the same bits for a float as for an np.float64.  An array call
-whose broadcast holds more than _BLOCK = 2^15 elements runs in blocks of
-that size, cut by _blocks, so that one call's temporaries stay near 2 MiB
-and in cache.  The verify sweeps and chain_margins cut with _blocks.
-Those 256 KiB temporaries exceed glibc's default 128 KiB mmap threshold, so
-a fresh process maps and faults them in on every call until the threshold
-grows; the CLI's pair sweep raises it for its own process.
+At the boundary a positional Python float in the domain passes as it is,
+checked by one chained comparison.  Any other float (np.float64 is one)
+converts with float(), anything else with np.asarray(x, dtype=float), whose
+0-d result is a scalar; an int or a Fraction past DBL_MAX raises the
+ValueError of any infinite argument.  Past the boundary a scalar is a Python
+float: its arithmetic and comparisons give numpy's bits at a fraction of the
+cost of numpy scalars, and a ufunc gives the same bits for a float as for an
+np.float64.  An array call whose broadcast holds more than _BLOCK = 2^15
+elements runs in blocks of that size, cut by _blocks (as are the verify
+sweeps and chain_margins), so that one call's temporaries stay near 2 MiB
+and in cache.  Those 256 KiB temporaries exceed glibc's default 128 KiB mmap
+threshold, so a fresh process maps and faults them in on every call until
+the threshold grows; the CLI's pair sweep raises it for its own process.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 from functools import reduce, wraps
+from itertools import takewhile
 
 import numpy as np
 
@@ -41,9 +40,6 @@ LOG2 = math.log(2.0)
 # elements per block of a large array call (see _elementwise); 2^14 to 2^16
 # run at the same speed
 _BLOCK = 2**15
-
-# one number by type; isinstance tries float first, the slower abstract class last
-_NUMBER = (float, int, np.number, numbers.Number, str)
 
 
 def _blocks(*arrs):
@@ -70,19 +66,20 @@ def _elementwise(domain, arrays=1, lead=0):
 
     The decorated function receives its `arrays` array arguments, those after
     its first `lead` ones, checked to be finite and `domain` ("positive" or
-    "nonnegative"; NaN is neither).  When all of them are scalars (a number or
-    a string by type, converted once with float(), or a 0-d array) it gets
-    them as Python floats and the result comes back as a float; otherwise it
-    gets float arrays of at least one dimension and its array comes back.
-    Positional Python floats in the domain skip the conversion.  A broadcast
-    of more than _BLOCK elements is checked whole, then computed in the
-    blocks that _blocks cuts, into one output.
+    "nonnegative"; NaN is neither).  When all of them are scalars (a float,
+    or anything whose np.asarray is 0-d) it gets them as Python floats and
+    the result comes back as a float; otherwise it gets float arrays of at
+    least one dimension and its array comes back.  Positional Python floats
+    in the domain skip the conversion.  A broadcast of more than _BLOCK
+    elements is checked whole, then computed in the blocks that _blocks
+    cuts, into one output.
     """
     # the least float of the domain: math.ulp(0.0) is the least positive one
     least = {"positive": math.ulp(0.0), "nonnegative": 0.0}[domain]
 
     def decorate(fn):
         names = fn.__code__.co_varnames[: lead + arrays]
+        message = f"{' and '.join(names[lead:])} must be {domain} and finite"
 
         @wraps(fn)
         def boundary(*args, **kwargs):
@@ -92,19 +89,22 @@ def _elementwise(domain, arrays=1, lead=0):
                         break
                 else:
                     return float(fn(*args))
-            else:
-                args += tuple(kwargs.pop(name) for name in names[len(args) :])
+            else:  # up to the first missing one; fn raises Python's TypeError for the rest
+                args += tuple(map(kwargs.pop, takewhile(kwargs.__contains__, names[len(args) :])))
             xs, scalar = [], True
             for x in args[lead : lead + arrays]:
-                if not isinstance(x, _NUMBER):
-                    x = np.asarray(x, dtype=float)
+                if not isinstance(x, float):
+                    try:
+                        x = np.asarray(x, dtype=float)
+                    except OverflowError:  # an int or a Fraction past DBL_MAX
+                        raise ValueError(message) from None
                 if type(x) is np.ndarray and x.ndim:
                     scalar = False
                     lo, hi = x.min(initial=math.inf), x.max(initial=0.0)
                 else:
                     lo = hi = x = float(x)
                 if not (least <= lo and hi < math.inf):
-                    raise ValueError(f"{' and '.join(names[lead:])} must be {domain} and finite")
+                    raise ValueError(message)
                 xs.append(x)
             if scalar:
                 return float(fn(*args[:lead], *xs, *args[lead + arrays :], **kwargs))

@@ -313,7 +313,7 @@ def _scaled_exp(logval: float, scale: float) -> float:
 
 
 def chain_table(a: float, b: float) -> list[tuple[str, str, float]]:
-    """(label, expression, value) rows of the chain, in ascending order; the last is max(a, b)."""
+    """(label, expression, value) chain rows, ascending up to 2 t ulp; the last is max(a, b)."""
     t = half_log_ratio(a, b)
     if t == 0.0:
         raise ValueError("chain table requires distinct arguments")
@@ -340,7 +340,7 @@ def squeeze_margins(t):
 def _holds_at_every_pair(a, b, name: str, holds: Callable[[np.ndarray], bool]) -> bool:
     """True iff holds(t) at the half log ratio t of every pair of the broadcast a, b."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    if np.isinf(a).any() or np.isinf(b).any():  # before (inf, inf) turns t into NaN
+    if np.isinf(a).any() or np.isinf(b).any():  # the verifier's message, before any block runs
         raise ValueError(f"{name} verification requires finite arguments")
     ok = True
     for a_block, b_block in _blocks(a, b):

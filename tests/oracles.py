@@ -68,6 +68,17 @@ def power_mean(p, a, b):
     return ((a**p + b**p) / 2) ** (1 / p)
 
 
+def log_power_profile(p, t):
+    """log M_p(e^-t, e^t) for p != 0, from the raw pair.
+
+    e^(-pt) and e^(pt) average to 1 + (pt)^2/2 + ..., so the working
+    precision is raised until (pt)^2 shows with 50 digits to spare.
+    """
+    t = mp.mpf(t)
+    with mp.workdps(60 + 2 * max(0, -int(mp.log10(abs(mp.mpf(p)) * t)))):
+        return mp.log(power_mean(p, mp.exp(-t), mp.exp(t)))
+
+
 def lehmer_mean(p, a, b):
     a, b, p = mp.mpf(a), mp.mpf(b), mp.mpf(p)
     return (a ** (p + 1) + b ** (p + 1)) / (a**p + b**p)

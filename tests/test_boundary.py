@@ -10,6 +10,7 @@ once, with few Python calls around its ufuncs.
 import importlib
 import math
 import pkgutil
+import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -269,8 +270,8 @@ def test_infinite_arguments_raise_before_any_evaluator_runs():
     )
 
 
-# a number or a string is a scalar by type, converted once with float() to
-# the value np.asarray(x, dtype=float) gives; the results are frozen as hex
+# a float converts with float(), anything else with np.asarray(x, dtype=float),
+# whose 0-d result is a scalar; the results are frozen as hex
 SCALAR_TYPES = [
     (3, "0x1.1a2453378cf33p+1", "0x1.1a784e1c7e180p-6"),
     (2.5, "0x1.ee5123df2d5c9p+0", "0x1.2abc240cb36c0p-6"),
@@ -415,6 +416,37 @@ def test_a_bad_scalar_of_any_type_raises_before_any_evaluator_runs(bad):
         assert entries == []
 
 
+def test_a_number_past_dbl_max_raises_the_domain_error_before_any_evaluator_runs():
+    # an int or a Fraction past DBL_MAX does not convert (OverflowError); a
+    # Decimal converts to inf
+    kind = MeanKind("sandor-yang")
+    for huge in (10**400, -(10**400), Fraction(10**400, 3), Decimal("1e400")):
+        for fn, call, message in (
+            (eval_mean, lambda: eval_mean(kind, huge, 1.3), "a and b must be positive"),
+            (eval_mean, lambda: eval_mean(kind, 1.3, b=huge), "a and b must be positive"),
+            (log_gap, lambda: log_gap(huge, 1.2), "t must be nonnegative"),
+            (log_gap, lambda: log_gap([1.0, huge], 1.2), "t must be nonnegative"),
+        ):
+            entries = []
+            with pytest.raises(ValueError, match=f"^{message} and finite$"):
+                _profiled(fn.__wrapped__.__code__, call, entries)
+            assert entries == []
+
+
+def test_a_missing_or_repeated_argument_raises_pythons_type_error():
+    kind = MeanKind("sandor-yang")
+    for call, message in (
+        (lambda: eval_mean(kind, a=1.0), "missing 1 required positional argument: 'b'"),
+        (lambda: eval_mean(kind, 1.0, a=2.0), "got multiple values for argument 'a'"),
+        (lambda: half_log_ratio(b=2.0), "missing 1 required positional argument: 'a'"),
+        (lambda: log_mean_normalized(t=0.5), "missing 1 required positional argument: 'kind'"),
+        (lambda: slope_kernel(p=1.2), "missing 1 required positional argument: 't'"),
+        (lambda: slope_kernel(0.5, t=0.5), "got multiple values for argument 't'"),
+    ):
+        with pytest.raises(TypeError, match=re.escape(message)):
+            call()
+
+
 def _dead(x, *more):
     raise AssertionError("a row that holds no element ran")
 
@@ -485,21 +517,26 @@ def _events(call):
 # chained comparison each.  A count weighs a cheap builtin as much as a
 # Python call: it guards against added work, it does not measure cost
 SCALAR_CALL_EVENTS = {
-    "harmonic": 22,
-    "geometric": 14,
-    "arithmetic": 22,
-    "quadratic": 22,
-    "log": 18,
-    "identric": 14,
-    "first-seiffert": 20,
-    "second-seiffert": 18,
-    "neuman-sandor": 18,
-    "yang": 20,
-    "sandor": 25,
-    "toader": 21,
-    "sandor-yang": 24,
-    "power:1.7": 23,
-    "lehmer:0.5": 26,
+    "harmonic": 21,
+    "geometric": 13,
+    "arithmetic": 21,
+    "quadratic": 21,
+    "log": 17,
+    "identric": 13,
+    "first-seiffert": 19,
+    "second-seiffert": 17,
+    "neuman-sandor": 17,
+    "yang": 19,
+    "sandor": 24,
+    "toader": 20,
+    "sandor-yang": 23,
+    "power:1.7": 22,
+    "lehmer:0.5": 25,
+    # the general path: a float that is not exactly a float, a number that is
+    # not a float, and floats passed by keyword
+    "sandor-yang[np.float64]": 27,
+    "sandor-yang[int]": 28,
+    "sandor-yang[keywords]": 28,
     "slope_kernel(0.0005)": 14,
     "slope_kernel(0.7)": 30,
     "curvature_kernel(0.0005)": 19,
@@ -512,6 +549,7 @@ SCALAR_CALL_EVENTS = {
 }
 
 
+SANDOR_YANG = MeanKind("sandor-yang")
 SCALAR_CALLS = {
     **{
         kind.label(): lambda kind=kind: eval_mean(kind, 1.7, 5.3)
@@ -524,6 +562,9 @@ SCALAR_CALLS = {
         for t in (5e-4, 0.7)
     },
     "half_log_ratio": lambda: half_log_ratio(1.7, 5.3),
+    "sandor-yang[np.float64]": lambda a=np.float64(1.7): eval_mean(SANDOR_YANG, a, 5.3),
+    "sandor-yang[int]": lambda: eval_mean(SANDOR_YANG, 2, 5.3),
+    "sandor-yang[keywords]": lambda: eval_mean(SANDOR_YANG, a=1.7, b=5.3),
 }
 
 

@@ -1,6 +1,7 @@
 """Mean evaluation: frozen references, live high-precision sweeps, axioms."""
 
 import math
+import pickle
 import tracemalloc
 
 import mpmath as mp
@@ -15,12 +16,14 @@ from meanbounds import (
     log_mean_normalized,
     parse_mean,
     quadratic_coefficient,
+    solver,
 )
 from meanbounds.means import PLAIN_TAGS
 
-from oracles import mean_oracle
+from oracles import log_power_profile, mean_oracle
 
 RNG_SEED = 20260814
+DBL_MIN = np.finfo(float).tiny
 
 # Values computed once with a 50-digit evaluation of the defining formulas
 # (tests/oracles.py) and frozen to 17 significant figures.
@@ -190,6 +193,32 @@ def test_tiny_power_exponent_branch_is_smooth():
     assert geometric == 1.0
     # cosh(pt)^(1/p) = exp(p t^2/2 + O(p^3)); at p=1e-9 the correction is ~3e-10
     assert near_zero == pytest.approx(math.exp(0.5e-9 * t * t), rel=1e-14)
+
+
+# power exponents below the 1e-8 switch, where log m(t) = log cosh(pt)/p is
+# p t^2/2 below |p| t = 1e-8 and +-t - log(2)/p past |p| t = 700
+TINY_P = [s * p for p in (9.9e-9, 1e-9, 1e-12, 1e-20, 1e-100, 1e-200) for s in (1.0, -1.0)]
+TINY_P.append(5e-324)
+
+
+def test_tiny_power_exponents_match_the_oracle_at_every_t():
+    for p in TINY_P:
+        cuts = [np.nextafter(c / abs(p), d) for c in (1e-8, 700.0) for d in (0.0, math.inf)]
+        t = np.array([c for c in cuts if c <= 1e300] + (10.0 ** np.arange(-12, 301, 8)).tolist())
+        kind = MeanKind.power(p)
+        got = log_mean_normalized(kind, t)
+        # the mean lies in [min, max]: |log m| <= t
+        assert np.all(np.abs(got) <= t), p
+        np.testing.assert_array_equal(got, [log_mean_normalized(kind, x) for x in t.tolist()])
+        for x, y in zip(t.tolist(), got.tolist()):
+            want = log_power_profile(p, x)
+            # relative, or within DBL_MIN * 5e-16 where the value is subnormal;
+            # the worst over 2001 log-spaced t and these cuts was 4.7e-16
+            assert abs(y - want) <= 5e-16 * max(abs(want), DBL_MIN), (p, x, y)
+    for pair in ((5e-324, 1.7e308), (1e-200, 1e200)):
+        for a, b in (pair, pair[::-1]):
+            for p in TINY_P:
+                assert min(a, b) <= eval_mean(MeanKind.power(p), a, b) <= max(a, b), (p, a, b)
 
 
 def test_power_mean_monotone_in_exponent():
@@ -397,6 +426,23 @@ def test_parse_and_kind_validation():
         MeanKind.power(math.nan)
     with pytest.raises(ValueError):
         MeanKind("arithmetic", 2.0)
+
+
+def test_a_kind_carries_its_row_outside_eq_hash_and_repr():
+    made, parsed = MeanKind.power(2), parse_mean("power:2")
+    assert made._row is not parsed._row
+    assert made == parsed and hash(made) == hash(parsed)
+    assert repr(made) == "MeanKind(tag='power', param=2.0)"
+    assert repr(MeanKind("toader")) == "MeanKind(tag='toader', param=None)"
+    # equal kinds share one cache entry of the solver's grid profiles
+    solver._mean_log_on_grid.cache_clear()
+    assert solver._mean_log_on_grid(parsed) is solver._mean_log_on_grid(made)
+    assert solver._mean_log_on_grid.cache_info().currsize == 1
+    # a kind pickles as its tag and parameter, and rebuilds its row
+    for kind in (MeanKind("log"), made, MeanKind.lehmer(-0.5)):
+        back = pickle.loads(pickle.dumps(kind))
+        assert back == kind and back._row[1:] == kind._row[1:]
+        assert back._row[0](0.7) == kind._row[0](0.7)
 
 
 def test_eval_mean_rejects_nonpositive_arguments():
