@@ -158,7 +158,11 @@ def _piecewise(x, rows, *more):
 
 
 def _square(x):
-    """np.square's bits, at a fifth of its cost on a numpy scalar."""
+    """np.square's bits, at a fifth of its cost on a numpy scalar.
+
+    A call, so that a temporary argument (a sinh block) is freed before the caller's next
+    operation, which an inlined (s := ...) * s would hold it through (log1p in _LOGCOSH_ROWS).
+    """
     return x * x
 
 
@@ -230,11 +234,13 @@ def _logsinh(x):
     return _piecewise(x, _LOGSINH_ROWS)
 
 
-# sinh overflows past ~710; arctan(sinh) is pi/2 and arctan(sinh)/sinh - 1 is
-# -1.0 to machine precision long before the clip point, so clipping is exact.
-# min clips a scalar at a fraction of the cost of np.minimum, with the same bits.
+# sinh overflows past ~710, so x clips at _COSH_MAX_ARG; arctan(sinh) is pi/2 and
+# arctan(sinh)/sinh - 1 is -1.0 to machine precision long before, so clipping is
+# exact.  min clips a scalar at a fraction of the cost of np.minimum, same bits.
 def _sinh_clipped(x):
-    return np.sinh(np.minimum(x, 300.0) if type(x) is np.ndarray else min(x, 300.0))
+    if type(x) is np.ndarray:
+        return np.sinh(np.minimum(x, _COSH_MAX_ARG))
+    return np.sinh(min(x, _COSH_MAX_ARG))
 
 
 # arctan(y)/y - 1 = sum_{k>=1} (-1)^k y^(2k)/(2k+1).  Below y = 0.1 the nine

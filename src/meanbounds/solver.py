@@ -29,6 +29,7 @@ import numpy as np
 
 from .kernels import log_gap, slope_kernel
 from .means import (
+    _EVAL_ROWS,
     _FAMILIES,
     LOG2,
     PARAMETRIC_TAGS,
@@ -49,9 +50,9 @@ GRID_POINTS = 10_000
 GRID_LO, GRID_HI = 1e-6, 50.0
 TIE = 1e-13
 
-# Agreement with the closed form that the `endpoint` command accepts; grid
-# resolution, not the bisection width, sets it.
-ENDPOINT_TOLERANCE = 1e-3
+# Agreement with the closed form that the `endpoint` command accepts: the catalogued
+# endpoints, bisected to an ulp, land within 4.4e-16, so rounding sets it, not the grid.
+ENDPOINT_TOLERANCE = 1e-12
 
 UPPER_EXPONENT = 4.0 / 3.0
 
@@ -90,16 +91,14 @@ class SharpConstantTable:
     entries: tuple
 
 
-@lru_cache(maxsize=1)
-def _grid() -> np.ndarray:
-    return np.logspace(math.log10(GRID_LO), math.log10(GRID_HI), GRID_POINTS)
+_GRID = np.logspace(math.log10(GRID_LO), math.log10(GRID_HI), GRID_POINTS)
 
 
 # Bounded, as callers may name any number of targets; 32 holds the literature
 # catalog's means and the verifiers' targets with room to spare.
 @lru_cache(maxsize=32)
 def _mean_log_on_grid(kind: MeanKind) -> np.ndarray:
-    return log_mean_normalized(kind, _grid())
+    return log_mean_normalized(kind, _GRID)
 
 
 def _check_family_and_side(family: str, side: str) -> None:
@@ -170,14 +169,13 @@ def find_witness(kind: MeanKind, family: str, param: float, side: str) -> Option
     a witness is a valid result (the grid covers t in [1e-6, 50] only).
     """
     _check_family_and_side(family, side)
-    grid = _grid()
-    gap = log_mean_normalized(MeanKind(family, param), grid) - _mean_log_on_grid(kind)
+    gap = log_mean_normalized(MeanKind(family, param), _GRID) - _mean_log_on_grid(kind)
     if side == "upper":
         gap = -gap
     worst = int(np.argmax(gap))
     if gap[worst] <= TIE:
         return None
-    return float(grid[worst])
+    return float(_GRID[worst])
 
 
 # --- closed-form endpoint catalog ------------------------------------------
@@ -304,24 +302,19 @@ def chain_margins(t) -> np.ndarray:
     return out.reshape((_CHAIN_LINKS,) + arr.shape)
 
 
-def _scaled_exp(logval: float, scale: float) -> float:
-    """scale * e^logval; past log(DBL_MAX) h * scale * h with h = e^(logval/2), as eval_mean."""
-    if logval <= 709.78:
-        return scale * math.exp(logval)
-    half = math.exp(0.5 * logval)
-    return half * scale * half
-
-
 def chain_table(a: float, b: float) -> list[tuple[str, str, float]]:
     """(label, expression, value) chain rows, ascending up to 2 t ulp; the last is max(a, b)."""
     t = half_log_ratio(a, b)
     if t == 0.0:
         raise ValueError("chain table requires distinct arguments")
-    scale = math.sqrt(a) * math.sqrt(b)
+    a, b = float(a), float(b)
     *members, (label, expr, _) = _chain_rows(t)
-    rows = [(lbl, ex, _scaled_exp(logval, scale)) for lbl, ex, logval in members]
+    # each value from its log value through eval_mean's rows: an unscaled member is eval_mean's
+    rows = [
+        (lbl, ex, float(_piecewise(t, _EVAL_ROWS, a, b, lambda _: v))) for lbl, ex, v in members
+    ]
     # the top member is max(a, b) itself, which sqrt(ab) e^t misses by up to 1e-15
-    return rows + [(label, expr, float(max(a, b)))]
+    return rows + [(label, expr, max(a, b))]
 
 
 def squeeze_margins(t):

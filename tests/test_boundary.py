@@ -76,12 +76,14 @@ def test_scalar_and_array_contract(name):
 # t = 0 and each branch cut with its neighbours one ulp away: the curvature
 # series (1e-3), the slope series (0.1), the ratio series (tanh t or sinh t
 # = 0.1), the Toader series (0.3), _logsinh (20), the far forms of
-# curvature_kernel at p = 1.2 (350) and of _logcosh (700), and 1
+# curvature_kernel at p = 1.2 (350), of _logcosh (700) and of eval_mean's
+# product (709.78), and 1
 CUTS = np.array(
     [0.0, 0.05, 3.0]
     + [
         np.nextafter(c, d)
-        for c in (1e-3, 0.1, math.atanh(0.1), math.asinh(0.1), 0.3, 1.0, 20.0, 350.0, 700.0)
+        for c in (1e-3, 0.1, math.atanh(0.1), math.asinh(0.1), 0.3, 1.0)
+        + (20.0, 350.0, 700.0, 709.78)
         for d in (0.0, c, math.inf)
     ]
 )

@@ -1,5 +1,6 @@
 """Command-line interface: output shape, exit codes, determinism."""
 
+import dataclasses
 import math
 import os
 import platform
@@ -84,7 +85,22 @@ def test_endpoint_recovers_the_lower_exponent(capsys):
     closed, numeric, diff = (float(x) for x in row.split(","))
     assert closed == pytest.approx(P0, rel=1e-15)
     assert numeric == pytest.approx(P0, abs=1e-8)
-    assert abs(diff) <= 1e-3
+    assert abs(diff) <= solver.ENDPOINT_TOLERANCE
+
+
+def test_endpoint_exit_code_catches_a_miss_far_below_grid_resolution(capsys, monkeypatch):
+    # the catalogued endpoints land within 4.4e-16 of their closed forms
+    solve = solver.best_exponent
+
+    def missed(kind, family, side):
+        report = solve(kind, family, side)
+        return dataclasses.replace(report, numeric=report.numeric + 1e-11)
+
+    monkeypatch.setattr(solver, "best_exponent", missed)
+    argv = ("endpoint", "--mean", "sandor-yang", "--family", "power", "--side", "lower")
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert out.startswith("closed_form,numeric,difference\n")
 
 
 def test_endpoint_without_catalogued_form_is_not_solved(capsys):

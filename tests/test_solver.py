@@ -2,6 +2,8 @@
 
 import math
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -15,6 +17,7 @@ from meanbounds import (
     chain_margins,
     chain_table,
     constants_table,
+    eval_mean,
     find_witness,
     gap_peak,
     half_log_ratio,
@@ -30,6 +33,7 @@ from meanbounds import (
     verify_seiffert_lehmer,
     verify_squeeze,
 )
+from meanbounds.series import CHAIN_EXPONENTS
 from meanbounds.solver import (
     _CLOSED_FORMS,
     LITERATURE_MEANS,
@@ -438,6 +442,10 @@ def test_chain_table_rows_ascend():
     assert labels[-1] == "max"
     values = [value for _, _, value in rows]
     assert all(x < y for x, y in zip(values, values[1:]))
+    # any pair half_log_ratio takes gives the rows of the same floats, bit for bit
+    for a, b in (("1", "3"), (Decimal(1), Decimal(3)), (Fraction(1), Fraction(3)), (1, 3)):
+        assert chain_table(a, b) == rows, (a, b)
+    assert chain_table(np.float32(1.0), np.float32(3.0)) == rows
     # scale-invariance up to the common factor
     scaled = chain_table(10.0, 30.0)
     for (_, _, v1), (_, _, v10) in zip(rows, scaled):
@@ -469,11 +477,18 @@ def test_chain_table_ascends_up_to_t_ulp_and_stays_below_max():
     # size t, so adjacent rows may cross by rounding: on 3 000 such pairs over
     # 2 200 tables cross, the worst by 1.14e-13 = 1.56 ulp(1) max(t, 1)
     a, b = 10.0 ** np.random.default_rng(28).uniform(-323.0, 308.0, (2, 3000))
-    for x, y in zip(a.tolist(), b.tolist()):
-        values = [value for _, _, value in chain_table(x, y)]
+    extreme = [(5e-324, 1.7e308), (1e-310, 1e308), (1e-200, 1e200), (1.0, 3.0)]
+    # the unscaled members are eval_mean's values of their means, bit for bit
+    unscaled = {f"power:{p:g}": MeanKind.power(p) for p in map(float, CHAIN_EXPONENTS)}
+    unscaled["sandor-yang"] = MeanKind("sandor-yang")
+    for x, y in list(zip(a.tolist(), b.tolist())) + extreme:
+        rows = chain_table(x, y)
+        values = [value for _, _, value in rows]
         slack = 2.0 * 2.0**-52 * max(half_log_ratio(x, y), 1.0)
         assert all(lo <= hi * (1.0 + slack) for lo, hi in zip(values, values[1:])), (x, y)
         assert 0.0 < min(values) and max(values) == values[-1] == max(x, y), (x, y)
+        evaluated = {label: eval_mean(unscaled[label], x, y) for label in unscaled}
+        assert {label: value for label, _, value in rows if label in unscaled} == evaluated
 
 
 def test_squeeze_margins_positive_even_for_extreme_ratios():
@@ -556,7 +571,7 @@ def test_seiffert_lehmer_verification():
 
 def test_seiffert_lehmer_verification_equals_a_direct_evaluation():
     # each check written out on the grid, as in the inequalities it states
-    grid = solver._grid()
+    grid = solver._GRID
     t_log = log_mean_normalized(MeanKind("second-seiffert"), grid)
     l_third = log_mean_normalized(MeanKind.lehmer(1.0 / 3.0), grid)
     l_zero = log_mean_normalized(MeanKind.lehmer(0.0), grid)
