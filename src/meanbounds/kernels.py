@@ -187,12 +187,10 @@ def log_gap(t, p: float):
     """log B - log M_p on the normalized pair (e^-t, e^t).
 
     Vanishes at t = 0; tends to pi/4 - log2/2 + log2/p - 1 as t -> infinity
-    for p > 0.  Requires p != 0 (the power mean exponent appears as 1/p) and
-    not NaN; at p = +/-inf M_p is max/min.
+    for p > 0.  p is any exponent but NaN, as for MeanKind.power: M_0 is the
+    geometric mean and M_p at p = +/-inf is max/min.
     """
     p = float(p)
-    if p == 0.0:
-        raise ValueError("log_gap requires a nonzero exponent")
     if p != p:
         raise ValueError("p must not be NaN")
     return _lognorm_sandor_yang(t) - _lognorm_power(p, t)
@@ -200,7 +198,8 @@ def log_gap(t, p: float):
 
 def _slope_over_sinh2_logs(t, p: float):
     """cosh((p-1)t) / (cosh(pt) sinh t) - arctan(tanh t) / sinh^2 t in logs, for t >= 0.1."""
-    # there the exp arguments stay below log 22 and log 100 for any finite p t
+    # the exp arguments stay below log 22 and log 100 in exact arithmetic only: the O(|p| t)
+    # logs round, so at p = -3 the result is 2.117 for 2 at t = 1e15 and exp overflows from 3e18
     log_sinh = _logsinh(t)
     core = np.exp(_logcosh((p - 1.0) * t) - _logcosh(p * t) - log_sinh)
     return core - np.arctan(np.tanh(t)) * np.exp(-2.0 * log_sinh)
@@ -212,7 +211,7 @@ _SLOPE_OVER_SINH2_ROWS = (
 )
 
 
-@_elementwise("positive")
+@_elementwise("nonnegative")
 def log_gap_slope(t, p: float):
-    """d/dt of log_gap = slope_kernel(t, p) / sinh^2(t), for t > 0 and finite p."""
+    """d/dt of log_gap = slope_kernel(t, p) / sinh^2(t), for t >= 0 and finite p; 0 at t = 0."""
     return _piecewise(t, _SLOPE_OVER_SINH2_ROWS, _exponent(p))

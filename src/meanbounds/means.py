@@ -91,11 +91,11 @@ class MeanKind:
 
     @classmethod
     def power(cls, p) -> "MeanKind":
-        return cls("power", float(p))
+        return cls("power", p)
 
     @classmethod
     def lehmer(cls, p) -> "MeanKind":
-        return cls("lehmer", float(p))
+        return cls("lehmer", p)
 
     def label(self) -> str:
         if self.tag in PARAMETRIC_TAGS:
@@ -165,7 +165,7 @@ _TINY_P_ROWS = (
 
 def _lognorm_power(p: float, t):
     if p == 0.0:
-        return t * 0.0  # +0.0: every t that reaches an evaluator is positive and finite
+        return t * 0.0  # +0.0: every t that reaches it is finite and nonnegative
     if math.isinf(p):
         return +t if p > 0 else -t  # +t: a copy of an array
     if abs(p) < _POWER_SMALL_P:

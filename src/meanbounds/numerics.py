@@ -11,19 +11,20 @@ numpy float64 arrays.  The module also holds the helpers the package shares:
 the boundary of the package's public functions with its block cutter, the
 branch table of every piecewise evaluator, Horner's rule and bisection.
 
-At the boundary a positional Python float in the domain passes as it is,
-checked by one chained comparison.  Any other float (np.float64 is one)
-converts with float(), anything else with np.asarray(x, dtype=float), whose
-0-d result is a scalar; an int or a Fraction past DBL_MAX raises the
-ValueError of any infinite argument.  Past the boundary a scalar is a Python
-float: its arithmetic and comparisons give numpy's bits at a fraction of the
-cost of numpy scalars, and a ufunc gives the same bits for a float as for an
-np.float64.  An array call whose broadcast holds more than _BLOCK = 2^15
-elements runs in blocks of that size, cut by _blocks (as are the verify
-sweeps and chain_margins), so that one call's temporaries stay near 2 MiB
-and in cache.  Those 256 KiB temporaries exceed glibc's default 128 KiB mmap
-threshold, so a fresh process maps and faults them in on every call until
-the threshold grows; the CLI's pair sweep raises it for its own process.
+At the boundary a Python float in the domain, by position or by keyword,
+passes as it is, checked by one chained comparison.  Any other float
+(np.float64 is one) converts with float(), anything else with
+np.asarray(x, dtype=float), whose 0-d result is a scalar; an int or a
+Fraction past DBL_MAX raises the ValueError of any infinite argument.  Past
+the boundary a scalar is a Python float: its arithmetic and comparisons
+give numpy's bits at a fraction of the cost of numpy scalars, and a ufunc
+gives the same bits for a float as for an np.float64.  An array call whose
+broadcast holds more than _BLOCK = 2^15 elements runs in blocks of that
+size, cut by _blocks (as are the verify sweeps and chain_margins), so that
+one call's temporaries stay near 2 MiB and in cache.  Those 256 KiB
+temporaries exceed glibc's default 128 KiB mmap threshold, so a fresh
+process maps and faults them in on every call until the threshold grows;
+the CLI's pair sweep raises it for its own process.
 """
 
 from __future__ import annotations
@@ -69,8 +70,9 @@ def _elementwise(domain, arrays=1, lead=0):
     "nonnegative"; NaN is neither).  When all of them are scalars (a float,
     or anything whose np.asarray is 0-d) it gets them as Python floats and
     the result comes back as a float; otherwise it gets float arrays of at
-    least one dimension and its array comes back.  Positional Python floats
-    in the domain skip the conversion.  A broadcast of more than _BLOCK
+    least one dimension and its array comes back.  Keyword array arguments
+    join the positional ones first, so that Python floats in the domain skip
+    the conversion however they are passed.  A broadcast of more than _BLOCK
     elements is checked whole, then computed in the blocks that _blocks
     cuts, into one output.
     """
@@ -83,14 +85,13 @@ def _elementwise(domain, arrays=1, lead=0):
 
         @wraps(fn)
         def boundary(*args, **kwargs):
-            if not kwargs:
-                for x in args[lead : lead + arrays]:
-                    if type(x) is not float or not least <= x < math.inf:
-                        break
-                else:
-                    return float(fn(*args))
-            else:  # up to the first missing one; fn raises Python's TypeError for the rest
+            if kwargs:  # up to the first missing one; fn raises Python's TypeError for the rest
                 args += tuple(map(kwargs.pop, takewhile(kwargs.__contains__, names[len(args) :])))
+            for x in args[lead : lead + arrays]:
+                if type(x) is not float or not least <= x < math.inf:
+                    break
+            else:
+                return float(fn(*args, **kwargs))
             xs, scalar = [], True
             for x in args[lead : lead + arrays]:
                 if not isinstance(x, float):

@@ -333,14 +333,12 @@ def squeeze_margins(t):
 def _holds_at_every_pair(a, b, name: str, holds: Callable[[np.ndarray], bool]) -> bool:
     """True iff holds(t) at the half log ratio t of every pair of the broadcast a, b."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    if np.isinf(a).any() or np.isinf(b).any():  # the verifier's message, before any block runs
-        raise ValueError(f"{name} verification requires finite arguments")
     ok = True
     for a_block, b_block in _blocks(a, b):
         t = half_log_ratio(a_block, b_block)
         if np.any(t == 0.0):  # exactly the equal pairs
             raise ValueError(f"{name} verification requires distinct arguments")
-        # no early exit: an equal pair in a later block must still raise
+        # no early exit: an equal or invalid pair in a later block must still raise
         ok = holds(t) and ok
     return ok
 
@@ -357,7 +355,7 @@ def verify_chain(a, b) -> bool:
     """The full scaled-power-mean chain at every pair of a and b.
 
     a and b are positive numbers or arrays that broadcast together.  True iff
-    the chain holds at every pair; an equal or infinite pair raises ValueError.
+    the chain holds at every pair; an equal pair or one outside the domain raises ValueError.
     """
     return _holds_at_every_pair(a, b, "chain", _chain_holds)
 

@@ -8,6 +8,8 @@ once, with few Python calls around its ufuncs.
 """
 
 import importlib
+import inspect
+import itertools
 import math
 import pkgutil
 import re
@@ -110,10 +112,10 @@ AT_CUTS = {
     # t = 0, and the far row starts at 700/|p|, below the series radius
     "curvature_kernel_p1e6": (lambda t: curvature_kernel(t, 1e6), True),
     "log_gap": (lambda t: log_gap(t, 1.2), True),
-    "log_gap_slope": (lambda t: log_gap_slope(t, 1.2), False),
+    "log_gap_slope": (lambda t: log_gap_slope(t, 1.2), True),
     # |p| >= 2 takes another form of the slope series
     "slope_kernel_p3": (lambda t: slope_kernel(t, 3.0), True),
-    "log_gap_slope_p3": (lambda t: log_gap_slope(t, 3.0), False),
+    "log_gap_slope_p3": (lambda t: log_gap_slope(t, 3.0), True),
     "_logcosh": (_past_the_boundary(_logcosh), True),
     "_logcosh_negative": (_past_the_boundary(lambda t: _logcosh(-t)), True),
     "_logsinh": (_past_the_boundary(_logsinh), False),
@@ -222,7 +224,7 @@ def test_a_bad_element_in_the_last_block_raises_before_any_block_runs():
     zero_last, negative_last = good.copy(), good.copy()
     zero_last[-1], negative_last[-1] = 0.0, -1.0
     for fn, call in (
-        (log_gap_slope, lambda: log_gap_slope(zero_last, 1.2)),
+        (log_gap_slope, lambda: log_gap_slope(negative_last, 1.2)),
         (log_mean_normalized, lambda: log_mean_normalized(MeanKind("toader"), negative_last)),
         (eval_mean, lambda: eval_mean(MeanKind("sandor-yang"), good, zero_last)),
     ):
@@ -254,13 +256,11 @@ def test_infinite_arguments_raise_before_any_evaluator_runs():
             assert entries == []
         with pytest.raises(ValueError, match="^t must be nonnegative and finite$"):
             log_mean_normalized(kind, math.inf)
-    for fn in (slope_kernel, curvature_kernel, log_gap):
+    for fn in (slope_kernel, curvature_kernel, log_gap, log_gap_slope):
         with pytest.raises(ValueError, match="^t must be nonnegative and finite$"):
             fn(math.inf, 1.2)
         with pytest.raises(ValueError, match="^t must be nonnegative and finite$"):
             fn(np.array([0.5, math.inf]), 1.2)
-    with pytest.raises(ValueError, match="^t must be positive and finite$"):
-        log_gap_slope(np.array([math.inf]), 1.2)
     with pytest.raises(ValueError, match="^a and b must be positive and finite$"):
         half_log_ratio(np.array([1.0, 2.0]), np.array([3.0, -math.inf]))
     # large finite t get through, and the geometric mean's log stays +0.0
@@ -304,21 +304,18 @@ SCALAR_MAKERS = {
     "0-d array": np.array,
 }
 
-# functions of one array argument, and whether it may be 0: the four
-# kernels (log_gap also at p = +/-inf, where M_p is max/min) and every kind
+# functions of one array argument, which may be 0: the four kernels
+# (log_gap also at p = 0 and +/-inf, where M_p is the geometric mean and
+# max/min) and every kind
 FUNCTIONS_OF_T = {
     **{
-        f"{fn.__name__}({p})": (lambda t, fn=fn, p=p: fn(t, p), fn is not log_gap_slope)
+        f"{fn.__name__}({p})": lambda t, fn=fn, p=p: fn(t, p)
         for fn in (slope_kernel, curvature_kernel, log_gap, log_gap_slope)
         for p in (1.2, 3.0, 0.5, -1.0, 1e6)
     },
-    "log_gap(inf)": (lambda t: log_gap(t, math.inf), True),
-    "log_gap(-inf)": (lambda t: log_gap(t, -math.inf), True),
+    **{f"log_gap({p})": lambda t, p=p: log_gap(t, p) for p in (0.0, math.inf, -math.inf)},
     **{
-        f"log_mean_normalized[{kind.label()}]": (
-            lambda t, kind=kind: log_mean_normalized(kind, t),
-            True,
-        )
+        f"log_mean_normalized[{kind.label()}]": lambda t, kind=kind: log_mean_normalized(kind, t)
         for kind in KINDS
     },
 }
@@ -339,7 +336,7 @@ def test_scalar_calls_of_every_type_give_the_bits_of_the_array_call(maker):
     # t up to 700 crosses every branch cut; pair ratios up to 1e60 reach t = 69
     t = [make(x) for x in (10.0 ** rng.uniform(-8.0, math.log10(700.0), 64)).tolist()]
     a, b = ([make(x) for x in (10.0 ** rng.uniform(-30.0, 30.0, 64)).tolist()] for _ in "ab")
-    for name, (fn, _) in FUNCTIONS_OF_T.items():
+    for name, fn in FUNCTIONS_OF_T.items():
         scalars = [fn(x) for x in t]
         assert all(type(v) is float for v in scalars), name
         want = fn(np.asarray(t, dtype=float))
@@ -362,10 +359,9 @@ def test_scalar_calls_at_the_extremes_give_the_bits_of_the_array_call():
     t = np.array(EXTREME_T)
     a, b = np.array(EXTREME_PAIRS + [(y, x) for x, y in EXTREME_PAIRS]).T
     with np.errstate(all="ignore"):
-        for name, (fn, takes_zero) in FUNCTIONS_OF_T.items():
-            ts = t if takes_zero else t[t > 0.0]
-            scalars = [fn(x) for x in ts.tolist()]
-            np.testing.assert_array_equal(_bits(scalars), _bits(fn(ts)), err_msg=name)
+        for name, fn in FUNCTIONS_OF_T.items():
+            scalars = [fn(x) for x in t.tolist()]
+            np.testing.assert_array_equal(_bits(scalars), _bits(fn(t)), err_msg=name)
         for name, fn in FUNCTIONS_OF_A_PAIR.items():
             scalars = [fn(x, y) for x, y in zip(a.tolist(), b.tolist())]
             np.testing.assert_array_equal(_bits(scalars), _bits(fn(a, b)), err_msg=name)
@@ -404,8 +400,8 @@ def test_a_bad_scalar_of_any_type_raises_before_any_evaluator_runs(bad):
     calls = [
         (eval_mean, lambda: eval_mean(MeanKind("sandor-yang"), bad, 1.3), True),
         (eval_mean, lambda: eval_mean(MeanKind("sandor-yang"), 1.3, bad), True),
-        (log_gap_slope, lambda: log_gap_slope(bad, 1.2), True),
         # zero is in the nonnegative domain
+        (log_gap_slope, lambda: log_gap_slope(bad, 1.2), float(bad) != 0.0),
         (log_gap, lambda: log_gap(bad, 1.2), float(bad) != 0.0),
     ]
     for fn, call, raises in calls:
@@ -534,11 +530,12 @@ SCALAR_CALL_EVENTS = {
     "sandor-yang": 23,
     "power:1.7": 22,
     "lehmer:0.5": 25,
-    # the general path: a float that is not exactly a float, a number that is
-    # not a float, and floats passed by keyword
+    # the general path: a float that is not exactly a float and a number that
+    # is not a float; floats passed by keyword join the positional ones and
+    # take the fast path
     "sandor-yang[np.float64]": 27,
     "sandor-yang[int]": 28,
-    "sandor-yang[keywords]": 28,
+    "sandor-yang[keywords]": 24,
     "slope_kernel(0.0005)": 14,
     "slope_kernel(0.7)": 30,
     "curvature_kernel(0.0005)": 19,
@@ -589,18 +586,25 @@ def test_gap_peak_stops_bisecting_at_a_fixed_point(monkeypatch):
     assert len(calls) <= 60
 
 
-def test_the_boundary_wraps_the_public_api_only():
-    modules = [
-        importlib.import_module(f"meanbounds.{info.name}")
-        for info in pkgutil.iter_modules(meanbounds.__path__)
-    ]
+MODULES = [
+    importlib.import_module(f"meanbounds.{info.name}")
+    for info in pkgutil.iter_modules(meanbounds.__path__)
+]
+
+
+def _decorated():
+    """Every function of the package's modules that the scalar/array boundary wraps."""
     boundary = numerics._elementwise("positive")(lambda x: x).__code__
-    decorated = [
+    return [
         fn
-        for module in modules
+        for module in MODULES
         for fn in vars(module).values()
         if getattr(fn, "__code__", None) is boundary
     ]
+
+
+def test_the_boundary_wraps_the_public_api_only():
+    decorated = _decorated()
     assert decorated
     public = {name: getattr(meanbounds, name) for name in meanbounds.__all__}
     assert not [fn.__qualname__ for fn in decorated if public.get(fn.__name__) is not fn]
@@ -608,7 +612,7 @@ def test_the_boundary_wraps_the_public_api_only():
     wrapped = [fn.__wrapped__ for fn in decorated]
     assert not [
         f"{module.__name__}.{name}"
-        for module in modules
+        for module in MODULES
         for name, obj in vars(module).items()
         if any(obj is fn for fn in wrapped)
     ]
@@ -620,6 +624,56 @@ def test_the_boundary_wraps_the_public_api_only():
         and not name.startswith("_")
         and getattr(obj, "__module__", None) == numerics.__name__
     ]
+
+
+# the domain of each decorated function: positive for the pair functions,
+# nonnegative for every function of t; a new domain needs an edit here
+DOMAINS = {
+    "eval_mean": "positive",
+    "half_log_ratio": "positive",
+    "log_mean_normalized": "nonnegative",
+    "slope_kernel": "nonnegative",
+    "curvature_kernel": "nonnegative",
+    "log_gap": "nonnegative",
+    "log_gap_slope": "nonnegative",
+}
+
+# floats for each argument name of the decorated functions, combined in every
+# way: every kind, t at every cut, pairs at ratios from 1 to 1e323, and p with
+# and without each kernel's special rows
+CHOICES = {
+    "kind": KINDS,
+    "a": [0.3 * math.exp(-t) for t in CUTS.tolist()],
+    "b": [2.5, 5e-324],
+    "t": CUTS.tolist(),
+    "p": [0.0, 1.2, -3.0, 1e6],
+}
+
+
+def test_each_decorated_function_states_its_domain():
+    domains = {}
+    for fn in _decorated():
+        # -1.0 for every array argument: the message names the domain
+        args = {
+            name: -1.0 if name in ("a", "b", "t") else CHOICES[name][0]
+            for name in inspect.signature(fn).parameters
+        }
+        with pytest.raises(ValueError, match=" must be (positive|nonnegative) and finite$") as exc:
+            fn(**args)
+        domains[fn.__name__] = str(exc.value).split()[-3]
+    assert domains == DOMAINS
+
+
+@pytest.mark.parametrize("name", sorted(DOMAINS))
+def test_floats_by_position_and_by_keyword_give_the_same_bits(name):
+    (fn,) = {fn for fn in _decorated() if fn.__name__ == name}
+    names = list(inspect.signature(fn).parameters)
+    for values in itertools.product(*(CHOICES[n] for n in names)):
+        want = _bits(fn(*values))
+        # the first k by position, the rest by keyword
+        for k in range(len(names)):
+            got = fn(*values[:k], **dict(zip(names[k:], values[k:])))
+            assert type(got) is float and _bits(got) == want, (k, values)
 
 
 def test_public_names_are_pinned():

@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from meanbounds import cli, numerics, solver
+from meanbounds import MeanKind, cli, log_mean_normalized, numerics, solver
 
 P0 = 1.2351702290504027
 T0 = 0.93728564929146117
@@ -247,6 +247,18 @@ def test_trace_log_gap_peaks_near_t0(capsys):
     assert peak_t == pytest.approx(T0, abs=0.02)
 
 
+@pytest.mark.parametrize("function", ["log-gap", "F"])
+def test_trace_log_gap_at_p_zero_is_sandor_yang_over_geometric(capsys, function):
+    # M_0 is the geometric mean, as for MeanKind.power(0)
+    ts = np.logspace(-1.0, 0.0, 5)
+    gap = log_mean_normalized(MeanKind("sandor-yang"), ts) - log_mean_normalized(
+        MeanKind("geometric"), ts
+    )
+    csv = "t,value\n" + "".join(f"{t:.15g},{v:.15g}\n" for t, v in zip(ts, gap))
+    argv = ("trace", "--function", function, "--p", "0", "--t-min", "0.1", "--t-max", "1")
+    assert run(capsys, *argv, "--n", "5") == (0, csv, "")
+
+
 def test_trace_rejects_unknown_function(capsys):
     with pytest.raises(SystemExit) as exc:
         run(capsys, "trace", "--function", "bogus",
@@ -439,10 +451,6 @@ USAGE_ERRORS = [
     ((*_TRACE, "2", "--t-min", "0.1", "--t-max", "1", "--n", "1"), _RANGE),
     ((*_TRACE, "2", "--t-min", "nan", "--t-max", "1", "--n", "10"), _RANGE),
     ((*_TRACE, "2", "--t-min", "0.1", "--t-max", "inf", "--n", "10"), _RANGE),
-    (
-        (*_TRACE, "0", "--t-min", "0.1", "--t-max", "1", "--n", "5"),
-        "log_gap requires a nonzero exponent",
-    ),
     ((*_TRACE, "nan", "--t-min", "0.1", "--t-max", "1", "--n", "5"), "p must not be NaN"),
     (
         ("trace", "--function", "f1", "--p", "inf", "--t-min", "0.1", "--t-max", "1", "--n", "5"),
@@ -459,14 +467,8 @@ USAGE_ERRORS = [
     ),
     (("verify", "--which", "squeeze", "--a", "-1", "--b", "2"), _POSITIVE),
     (("verify", "--which", "chain", "--a", "nan", "--b", "2"), _POSITIVE),
-    (
-        ("verify", "--which", "chain", "--a", "1", "--b", "inf"),
-        "chain verification requires finite arguments",
-    ),
-    (
-        ("verify", "--which", "squeeze", "--a", "1", "--b", "inf"),
-        "squeeze verification requires finite arguments",
-    ),
+    (("verify", "--which", "chain", "--a", "1", "--b", "inf"), _POSITIVE),
+    (("verify", "--which", "squeeze", "--a", "1", "--b", "inf"), _POSITIVE),
     (("verify", "--which", "chain", "--pairs", "0"), "need --pairs >= 1"),
     (("verify", "--which", "squeeze", "--pairs", "-1"), "need --pairs >= 1"),
 ]

@@ -382,8 +382,15 @@ def test_log_gap_large_t_limit_is_the_sharp_factor():
 
 def test_log_gap_zero_limit_and_domain():
     assert abs(log_gap(1e-9, 2.0)) < 1e-15
-    with pytest.raises(ValueError):
-        log_gap(1.0, 0.0)
+    # at p = 0 M_p is the geometric mean, as for MeanKind.power(0): the gap is log B bit for bit
+    t = np.array([0.0, 5e-324, 1e-9, 0.05, 0.3, 0.7, 20.0, 700.0, 709.78, 1e300])
+    gap = log_mean_normalized(MeanKind("sandor-yang"), t) - log_mean_normalized(
+        MeanKind("geometric"), t
+    )
+    for p in (0.0, -0.0, 0):
+        np.testing.assert_array_equal(log_gap(t, p).view(np.int64), gap.view(np.int64))
+        scalars = [log_gap(x, p) for x in t.tolist()]
+        np.testing.assert_array_equal(np.array(scalars).view(np.int64), gap.view(np.int64))
     with pytest.raises(ValueError):
         log_gap(-1.0, 2.0)
 
@@ -431,6 +438,12 @@ def test_log_gap_slope_at_tiny_t():
                 warnings.simplefilter("error")
                 got = log_gap_slope(t, p)
             assert got == pytest.approx((4.0 / 3.0 - p) * t, rel=1e-14), (t, p)
+    # and F'(0) = 0 for every finite p, scalar and array
+    for p in (-1e308, -3.0, 0.0, 0.5, 1.0, 1.2, 4.0 / 3.0, 2.0, 1e6, 1e308):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert log_gap_slope(0.0, p) == 0.0, p
+            assert log_gap_slope(np.array([0.0, 0.05, 0.5]), p)[0] == 0.0, p
 
 
 def test_log_gap_slope_past_sinh_overflow():

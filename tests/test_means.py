@@ -3,6 +3,7 @@
 import math
 import pickle
 import tracemalloc
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -418,8 +419,11 @@ def test_parse_and_kind_validation():
     for bad in ("powr:2", "power", "lehmer", "log:1", "power:abc", "lehmer:inf"):
         with pytest.raises(ValueError):
             parse_mean(bad)
-    with pytest.raises(ValueError):
-        MeanKind("power")
+    # one conversion, the constructor's: the classmethods pass p on as it is
+    for tag, family in (("power", MeanKind.power), ("lehmer", MeanKind.lehmer)):
+        for call in (lambda: MeanKind(tag), lambda: parse_mean(tag), lambda: family(None)):
+            with pytest.raises(ValueError, match=f"^mean '{tag}' requires a parameter$"):
+                call()
     with pytest.raises(ValueError):
         MeanKind.lehmer(math.inf)
     with pytest.raises(ValueError):
@@ -432,6 +436,11 @@ def test_a_kind_carries_its_row_outside_eq_hash_and_repr():
     made, parsed = MeanKind.power(2), parse_mean("power:2")
     assert made._row is not parsed._row
     assert made == parsed and hash(made) == hash(parsed)
+    for family in (MeanKind.power, MeanKind.lehmer):
+        for given, value in ((np.float64(2), 2.0), ("2", 2.0), (Fraction(1, 3), 1.0 / 3.0)):
+            kind = family(given)
+            assert kind == family(value) and hash(kind) == hash(family(value)), given
+            assert type(kind.param) is float
     assert repr(made) == "MeanKind(tag='power', param=2.0)"
     assert repr(MeanKind("toader")) == "MeanKind(tag='toader', param=None)"
     # equal kinds share one cache entry of the solver's grid profiles

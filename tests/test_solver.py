@@ -545,11 +545,20 @@ def test_squeeze_on_pairs():
 
 
 def test_verifiers_reject_infinite_arguments():
-    late = np.full(numerics._BLOCK + 1, 3.0)
-    late[-1] = math.inf  # in the second block of the sweep
+    # the boundary's message, as for a zero, negative or NaN argument, in the
+    # first block of the sweep or in the second
+    early, late = np.full(numerics._BLOCK + 1, 3.0), np.full(numerics._BLOCK + 1, 3.0)
+    early[0] = late[-1] = math.inf
     for verify in (verify_chain, verify_squeeze):
-        for a, b in ((1.0, math.inf), (math.inf, 2.0), (math.inf, math.inf), (1.0, late)):
-            with pytest.raises(ValueError, match="requires finite arguments"):
+        for a, b in (
+            (1.0, math.inf),
+            (math.inf, 2.0),
+            (math.inf, math.inf),
+            (1.0, early),
+            (1.0, late),
+            (late, 1.0),
+        ):
+            with pytest.raises(ValueError, match="^a and b must be positive and finite$"):
                 verify(a, b)
 
 
