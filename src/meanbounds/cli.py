@@ -1,7 +1,12 @@
 """Command-line surface: evaluation, verification, endpoints, witnesses, tables.
 
-Exit codes: 0 success/verified, 1 verification failed, 2 usage error.  A
-usage error prints one `error:` line on stderr and nothing on stdout.
+Exit codes: 0 success/verified, 1 verification failed, 2 usage error.
+argparse parses the options the CLI consumes itself, and the library the
+values it takes (--a, --b, --p, --param and a mean's parameter), once.  A
+value the library rejects, malformed or out of its domain, prints one
+`error:` line on stderr and nothing on stdout; argparse's own errors (a
+missing or unknown option, a bad choice, a malformed --t-min, --t-max, --n,
+--pairs or --seed) print its usage line as well.  Both exit 2.
 All numeric output is printed with 15 significant digits, '.' decimal
 separator, comma-separated CSV with a header row and LF line endings.
 """
@@ -134,8 +139,8 @@ def main(argv=None) -> int:
 
     p_eval = sub.add_parser("eval", help="evaluate a mean at a pair")
     p_eval.add_argument("--mean", required=True, help="e.g. sandor-yang, power:2, lehmer:0.5")
-    p_eval.add_argument("--a", type=float, required=True)
-    p_eval.add_argument("--b", type=float, required=True)
+    p_eval.add_argument("--a", required=True)
+    p_eval.add_argument("--b", required=True)
     p_eval.set_defaults(func=_cmd_eval)
 
     p_end = sub.add_parser("endpoint", help="recover a sharp bound exponent numerically")
@@ -147,19 +152,19 @@ def main(argv=None) -> int:
     p_wit = sub.add_parser("witness", help="find a t where a claimed bound fails")
     p_wit.add_argument("--mean", required=True)
     p_wit.add_argument("--family", required=True, choices=solver.FAMILIES)
-    p_wit.add_argument("--param", type=float, required=True)
+    p_wit.add_argument("--param", required=True)
     p_wit.add_argument("--side", required=True, choices=solver.SIDES)
     p_wit.set_defaults(func=_cmd_witness)
 
     p_tab = sub.add_parser("table", help="emit a CSV table of constants or the bound chain")
     p_tab.add_argument("--which", required=True, choices=("chain", "constants"))
-    p_tab.add_argument("--a", type=float, default=1.0)
-    p_tab.add_argument("--b", type=float, default=3.0)
+    p_tab.add_argument("--a", default=1.0)
+    p_tab.add_argument("--b", default=3.0)
     p_tab.set_defaults(func=_cmd_table)
 
     p_tr = sub.add_parser("trace", help="emit t,value CSV samples of a kernel function")
     p_tr.add_argument("--function", required=True, choices=tuple(_TRACEABLE))
-    p_tr.add_argument("--p", type=float, required=True)
+    p_tr.add_argument("--p", required=True)
     p_tr.add_argument("--t-min", type=float, required=True)
     p_tr.add_argument("--t-max", type=float, required=True)
     p_tr.add_argument("--n", type=int, required=True)
@@ -167,8 +172,8 @@ def main(argv=None) -> int:
 
     p_ver = sub.add_parser("verify", help="verify a bound chain or inequality family")
     p_ver.add_argument("--which", required=True, choices=("chain", "squeeze", "seiffert-lehmer"))
-    p_ver.add_argument("--a", type=float, default=None)
-    p_ver.add_argument("--b", type=float, default=None)
+    p_ver.add_argument("--a", default=None)
+    p_ver.add_argument("--b", default=None)
     p_ver.add_argument("--pairs", type=int, default=10_000)
     p_ver.add_argument("--seed", type=int, default=20260814)
     p_ver.set_defaults(func=_cmd_verify)

@@ -60,7 +60,7 @@ _SQRT2 = math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class MeanKind:
-    """Tagged mean identifier; `power` and `lehmer` carry a real parameter."""
+    """A tagged mean; `power` and `lehmer` carry a real parameter: anything float() takes."""
 
     tag: str
     param: float | None = None
@@ -70,7 +70,10 @@ class MeanKind:
         if self.tag in PARAMETRIC_TAGS:
             if self.param is None:
                 raise ValueError(f"mean '{self.tag}' requires a parameter")
-            p = float(self.param)
+            try:
+                p = float(self.param)
+            except ValueError:
+                raise ValueError(f"bad parameter {self.param!r} for mean '{self.tag}'") from None
             if math.isnan(p):
                 raise ValueError("mean parameter must not be NaN")
             if self.tag == "lehmer" and math.isinf(p):
@@ -104,15 +107,9 @@ class MeanKind:
 
 
 def parse_mean(text: str) -> MeanKind:
-    """Parse a CLI-style mean name: a plain tag or `power:p` / `lehmer:p`."""
+    """Parse a CLI-style mean name, a plain tag or `power:p` / `lehmer:p`; MeanKind converts p."""
     name, sep, param = text.partition(":")
-    if not sep:
-        return MeanKind(name)
-    try:
-        value = float(param)
-    except ValueError:
-        raise ValueError(f"bad parameter {param!r} for mean '{name}'") from None
-    return MeanKind(name, value)
+    return MeanKind(name, param if sep else None)
 
 
 # Past a ratio of 1e300 the relative gap (hi - lo)/lo may overflow; there

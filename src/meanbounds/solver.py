@@ -67,6 +67,7 @@ def sharp_lower_exponent() -> float:
 
 def sharp_factor(p: float) -> float:
     """exp(pi/4 - 1) * 2^(1/p - 1/2): best c with c*M_p < sandor-yang, p >= 4/3."""
+    p = float(p)
     if not p > 0:
         raise ValueError("sharp factor requires a positive exponent")
     return math.exp(math.pi / 4.0 - 1.0) * 2.0 ** (1.0 / p - 0.5)
@@ -224,6 +225,7 @@ def gap_peak(p: float) -> float:
     within 5e-5 (relative) of the mpmath root down to p = 1 + 1e-12, where
     t0 = 2.8e11, and below that p raises ValueError.
     """
+    p = float(p)
     if not 1.0 + 1e-12 <= p < UPPER_EXPONENT:
         raise ValueError("parameter outside [1 + 1e-12, 4/3)")
     # from p = 1 + 1e-12 on, hi stops by 2^39, where the kernel is off by under 1e-4
@@ -282,7 +284,10 @@ def _chain_links(t):
 
 def _checked_t(t) -> np.ndarray:
     """t as a float array, 0-d for a scalar; raises unless every element is finite and >= 0."""
-    arr = np.asarray(t, dtype=float)
+    try:
+        arr = np.asarray(t, dtype=float)
+    except OverflowError:  # an int or a Fraction past DBL_MAX, which no float holds
+        arr = np.array(math.inf)
     if not (arr.min(initial=math.inf) >= 0.0 and arr.max(initial=0.0) < math.inf):
         raise ValueError("t must be nonnegative and finite")
     return arr
@@ -332,7 +337,8 @@ def squeeze_margins(t):
 
 def _holds_at_every_pair(a, b, name: str, holds: Callable[[np.ndarray], bool]) -> bool:
     """True iff holds(t) at the half log ratio t of every pair of the broadcast a, b."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    # as given, not as numpy strings: each block's half_log_ratio converts and checks them
+    a, b = (x if type(x) is np.ndarray else np.asarray(x, dtype=object) for x in (a, b))
     ok = True
     for a_block, b_block in _blocks(a, b):
         t = half_log_ratio(a_block, b_block)

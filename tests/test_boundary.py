@@ -416,7 +416,8 @@ def test_a_bad_scalar_of_any_type_raises_before_any_evaluator_runs(bad):
 
 def test_a_number_past_dbl_max_raises_the_domain_error_before_any_evaluator_runs():
     # an int or a Fraction past DBL_MAX does not convert (OverflowError); a
-    # Decimal converts to inf
+    # Decimal converts to inf.  The margins and verifiers of the solver raise
+    # the same ValueError, before their rows or the pair evaluator run
     kind = MeanKind("sandor-yang")
     for huge in (10**400, -(10**400), Fraction(10**400, 3), Decimal("1e400")):
         for fn, call, message in (
@@ -424,10 +425,14 @@ def test_a_number_past_dbl_max_raises_the_domain_error_before_any_evaluator_runs
             (eval_mean, lambda: eval_mean(kind, 1.3, b=huge), "a and b must be positive"),
             (log_gap, lambda: log_gap(huge, 1.2), "t must be nonnegative"),
             (log_gap, lambda: log_gap([1.0, huge], 1.2), "t must be nonnegative"),
+            (solver._chain_rows, lambda: solver.chain_margins(huge), "t must be nonnegative"),
+            (_piecewise, lambda: solver.squeeze_margins(huge), "t must be nonnegative"),
+            (half_log_ratio, lambda: solver.verify_chain(huge, 1.0), "a and b must be positive"),
+            (half_log_ratio, lambda: solver.verify_squeeze(1.0, huge), "a and b must be positive"),
         ):
             entries = []
             with pytest.raises(ValueError, match=f"^{message} and finite$"):
-                _profiled(fn.__wrapped__.__code__, call, entries)
+                _profiled(getattr(fn, "__wrapped__", fn).__code__, call, entries)
             assert entries == []
 
 

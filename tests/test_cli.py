@@ -1,5 +1,6 @@
 """Command-line interface: output shape, exit codes, determinism."""
 
+import csv
 import dataclasses
 import math
 import os
@@ -7,6 +8,7 @@ import platform
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -420,6 +422,8 @@ two_pow_8_5_over_pi,2^(8/5)/pi,0.964935135545622
 _TRACE = ("trace", "--function", "log-gap", "--p")
 _RANGE = "need 0 < t-min < t-max and n >= 2"
 _POSITIVE = "a and b must be positive and finite"
+_MALFORMED = "could not convert string to float: 'abc'"
+_COMMA = "could not convert string to float: '1,5'"
 
 # (argv, the message after "error: ")
 USAGE_ERRORS = [
@@ -471,6 +475,20 @@ USAGE_ERRORS = [
     (("verify", "--which", "squeeze", "--a", "1", "--b", "inf"), _POSITIVE),
     (("verify", "--which", "chain", "--pairs", "0"), "need --pairs >= 1"),
     (("verify", "--which", "squeeze", "--pairs", "-1"), "need --pairs >= 1"),
+    # a malformed number reaches the library as text, which raises one ValueError
+    (("eval", "--mean", "toader", "--a", "abc", "--b", "2"), _MALFORMED),
+    (("eval", "--mean", "toader", "--a", "1", "--b", "1,5"), _COMMA),
+    (("eval", "--mean", "log:abc", "--a", "1", "--b", "2"), "mean 'log' takes no parameter"),
+    (("eval", "--mean", "bogus:abc", "--a", "1", "--b", "2"), "unknown mean 'bogus'"),
+    (
+        ("witness", "--mean", "log", "--family", "power", "--param", "abc", "--side", "lower"),
+        "bad parameter 'abc' for mean 'power'",
+    ),
+    (("table", "--which", "chain", "--a", "abc"), _MALFORMED),
+    (("table", "--which", "chain", "--b", "1,5"), _COMMA),
+    ((*_TRACE, "abc", "--t-min", "0.1", "--t-max", "1", "--n", "5"), _MALFORMED),
+    (("verify", "--which", "chain", "--a", "abc", "--b", "2"), _MALFORMED),
+    (("verify", "--which", "squeeze", "--a", "1", "--b", "1,5"), _COMMA),
 ]
 
 
@@ -525,3 +543,37 @@ def test_seeded_sweep_is_reproducible(capsys, monkeypatch):
     # the blocks are one draw of t, cut: the pair (1, e^{2t}) for each t
     t = 10.0 ** np.random.default_rng(7).uniform(-10.3, math.log10(13.8), n)
     np.testing.assert_array_equal(pairs.view(np.uint64), np.exp(2.0 * t).view(np.uint64))
+
+
+def _numbers(row):
+    """The row's fields as floats, or None unless every one is a number."""
+    try:
+        return [float(field) for field in row]
+    except ValueError:
+        return None
+
+
+def test_readme_cli_block_runs(capsys):
+    # every command the README's CLI block shows exits 0; where its comment, on
+    # its line or the lines under it, ends in a row of numbers, that is its stdout
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []  # (argv, comment lines)
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        if command.strip():
+            commands.append((command.split(), []))
+        if comment.strip():
+            commands[-1][1].append(comment.strip())
+    printed = 0
+    for argv, comments in commands:
+        assert argv[0] == "meanbounds", argv
+        code, out, err = run(capsys, *argv[1:])
+        assert (code, err) == (0, ""), argv
+        want = list(csv.reader(comments))
+        if want and _numbers(want[-1]) is not None:
+            got = list(csv.reader(out.splitlines()))
+            assert len(got) == len(want) and got[:-1] == want[:-1], argv
+            assert _numbers(got[-1]) == _numbers(want[-1]), argv
+            printed += 1
+    assert len(commands) == 10 and printed == 4

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -419,6 +420,21 @@ def test_parse_and_kind_validation():
     for bad in ("powr:2", "power", "lehmer", "log:1", "power:abc", "lehmer:inf"):
         with pytest.raises(ValueError):
             parse_mean(bad)
+    # the text after the colon reaches the constructor as it is: one float() converts it
+    for text, value in (("power:2", 2), ("power: 2", 2), ("power:2.0", 2), ("power:1_0", 10)):
+        kind, want = parse_mean(text), MeanKind.power(value)
+        assert kind == want and hash(kind) == hash(want), text
+        assert repr(kind) == repr(want) and kind.label() == want.label(), text
+    for call, message in (
+        (lambda: MeanKind("power", "abc"), "bad parameter 'abc' for mean 'power'"),
+        (lambda: parse_mean("lehmer:abc"), "bad parameter 'abc' for mean 'lehmer'"),
+        (lambda: parse_mean("power:"), "bad parameter '' for mean 'power'"),
+        (lambda: parse_mean("log:abc"), "mean 'log' takes no parameter"),
+        (lambda: parse_mean("log:"), "mean 'log' takes no parameter"),
+        (lambda: parse_mean("bogus:abc"), "unknown mean 'bogus'"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
     # one conversion, the constructor's: the classmethods pass p on as it is
     for tag, family in (("power", MeanKind.power), ("lehmer", MeanKind.lehmer)):
         for call in (lambda: MeanKind(tag), lambda: parse_mean(tag), lambda: family(None)):

@@ -78,9 +78,23 @@ def test_sharp_factor_decreases_with_the_exponent():
 
 
 def test_sharp_factor_domain():
-    for bad in (0.0, -1.0, math.nan):
+    for bad in (0.0, -1.0, math.nan, "abc"):
         with pytest.raises(ValueError):
             sharp_factor(bad)
+
+
+def test_the_solver_exponents_convert_like_the_kernels():
+    # p goes through float(), as the kernels' p does: a numeric string, an
+    # np.float64 and a Fraction give the float's bits
+    peak = float.fromhex("0x1.3b5cd900f0be4p+0")
+    for p in ("1.2", np.float64(1.2), Fraction(6, 5)):
+        assert gap_peak(p) == peak, p
+        assert peak_ratio(p) == peak_ratio(1.2), p
+    assert sharp_factor("2") == sharp_factor(2.0)
+    assert sharp_factor(Fraction(3, 2)) == sharp_factor(1.5)
+    for fn in (gap_peak, peak_ratio):
+        with pytest.raises(ValueError):
+            fn("abc")
 
 
 def test_crossover_exponent_is_the_root_of_the_log_factor():
